@@ -151,17 +151,17 @@ impl Scheduler for PollingServerPolicy {
         self.base.job(id)
     }
 
-    fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
         self.replenish_due(now);
-        self.base.release_due(now)
+        self.base.release_due_into(now, out)
     }
 
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId {
         self.base.release_aperiodic(task_index, now)
     }
 
-    fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        self.base.promote_due(now)
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.base.promote_due_into(now, out)
     }
 
     fn next_promotion_time(&self) -> Option<Cycles> {
@@ -184,8 +184,8 @@ impl Scheduler for PollingServerPolicy {
         self.base.complete(id, now)
     }
 
-    fn assign(&self) -> Vec<Option<JobId>> {
-        let mut desired = self.base.assign();
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
+        self.base.assign_into(desired);
         // Strip every aperiodic placement the base (background) assignment
         // made: under a pure polling server, aperiodic work runs only inside
         // the server.
@@ -201,7 +201,6 @@ impl Scheduler for PollingServerPolicy {
         if let Some(job) = self.server_job() {
             desired[self.server_proc.index()] = Some(job);
         }
-        desired
     }
 
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId> {
@@ -289,6 +288,18 @@ mod tests {
     use mpdp_core::time::DEFAULT_TICK;
     use mpdp_workload::automotive_task_set;
 
+    fn release_due(p: &mut PollingServerPolicy, now: Cycles) -> Vec<JobId> {
+        let mut out = Vec::new();
+        p.release_due_into(now, &mut out);
+        out
+    }
+
+    fn assign(p: &PollingServerPolicy) -> Vec<Option<JobId>> {
+        let mut desired = Vec::new();
+        p.assign_into(&mut desired);
+        desired
+    }
+
     fn policy() -> PollingServerPolicy {
         let set = automotive_task_set(0.4, 2, DEFAULT_TICK);
         polling_server(
@@ -304,14 +315,14 @@ mod tests {
     #[test]
     fn budget_is_lost_when_poll_finds_no_work() {
         let mut p = policy();
-        p.release_due(Cycles::ZERO);
+        release_due(&mut p, Cycles::ZERO);
         assert_eq!(p.budget(), Cycles::ZERO, "empty poll discards budget");
         // An aperiodic arriving mid-period waits for the next replenishment.
         p.release_aperiodic(0, DEFAULT_TICK);
         assert_eq!(p.budget(), Cycles::ZERO);
-        assert!(p.assign()[0].is_none_or(|j| p.job(j).is_periodic()));
+        assert!(assign(&p)[0].is_none_or(|j| p.job(j).is_periodic()));
         // At the replenishment the pending work earns a full budget.
-        p.release_due(DEFAULT_TICK * 10);
+        release_due(&mut p, DEFAULT_TICK * 10);
         assert_eq!(p.budget(), DEFAULT_TICK * 2);
         let job = p.server_job().expect("server has work");
         assert!(!p.job(job).is_periodic());
@@ -320,11 +331,11 @@ mod tests {
     #[test]
     fn aperiodics_never_run_outside_the_server() {
         let mut p = policy();
-        p.release_due(Cycles::ZERO);
+        release_due(&mut p, Cycles::ZERO);
         p.release_aperiodic(0, Cycles::ZERO);
         // Budget zero (poll at 0 preceded the arrival): nothing aperiodic
         // anywhere in the assignment.
-        for slot in p.assign().iter().flatten() {
+        for slot in assign(&p).iter().flatten() {
             assert!(p.job(*slot).is_periodic());
         }
         for proc in 0..2 {
@@ -338,7 +349,7 @@ mod tests {
     fn progress_drains_budget_until_exhaustion() {
         let mut p = policy();
         p.release_aperiodic(0, Cycles::ZERO);
-        p.release_due(Cycles::ZERO); // poll finds work → full budget
+        release_due(&mut p, Cycles::ZERO); // poll finds work → full budget
         assert_eq!(p.budget(), DEFAULT_TICK * 2);
         let job = p.server_job().expect("work");
         p.set_running(ProcId::new(0), Some(job));
@@ -354,16 +365,16 @@ mod tests {
     fn internal_event_is_the_replenishment() {
         let mut p = policy();
         assert_eq!(p.next_internal_event(), Some(Cycles::ZERO));
-        p.release_due(Cycles::ZERO);
+        release_due(&mut p, Cycles::ZERO);
         assert_eq!(p.next_internal_event(), Some(DEFAULT_TICK * 10));
     }
 
     #[test]
     fn periodic_work_is_unaffected_by_the_server_gate() {
         let mut p = policy();
-        let released = p.release_due(Cycles::ZERO);
+        let released = release_due(&mut p, Cycles::ZERO);
         assert_eq!(released.len(), 18);
-        let desired = p.assign();
+        let desired = assign(&p);
         assert!(desired.iter().flatten().count() > 0);
         for j in desired.iter().flatten() {
             assert!(p.job(*j).is_periodic());
@@ -383,11 +394,11 @@ mod tests {
         .expect("fits")
         .with_kind(ServerKind::Deferrable);
         // Empty poll at t = 0: the deferrable server KEEPS its budget…
-        p.release_due(Cycles::ZERO);
+        release_due(&mut p, Cycles::ZERO);
         assert_eq!(p.budget(), DEFAULT_TICK * 2);
         // …so an arrival mid-period is served immediately.
         p.release_aperiodic(0, DEFAULT_TICK);
-        let job = p.assign()[0].expect("server slot filled");
+        let job = assign(&p)[0].expect("server slot filled");
         assert!(!p.job(job).is_periodic());
     }
 

@@ -1,13 +1,13 @@
 //! Criterion bench: the MPDP scheduling-cycle primitives — the operations
 //! the paper's microkernel runs on every tick (release, promote, assign,
-//! diff). Their cost is what the kernel cost model charges as
-//! `sched_base`/`sched_per_task`.
+//! diff), in the buffer-filling forms the simulators call. Their cost is
+//! what the kernel cost model charges as `sched_base`/`sched_per_task`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mpdp_analysis::tool::{prepare, ToolOptions};
-use mpdp_core::policy::MpdpPolicy;
+use mpdp_core::policy::{MpdpPolicy, Scheduler};
 use mpdp_core::time::{Cycles, DEFAULT_TICK};
 use mpdp_workload::automotive_task_set;
 
@@ -34,9 +34,11 @@ fn bench_scheduling_cycle(c: &mut Criterion) {
                     p
                 },
                 |mut p| {
-                    p.promote_due(black_box(DEFAULT_TICK * 10));
-                    let desired = p.assign();
-                    black_box(p.diff(&desired));
+                    let (mut promoted, mut desired, mut actions) = (vec![], vec![], vec![]);
+                    p.promote_due_into(black_box(DEFAULT_TICK * 10), &mut promoted);
+                    p.assign_into(&mut desired);
+                    p.diff_into(&desired, &mut actions);
+                    black_box(actions);
                 },
                 criterion::BatchSize::SmallInput,
             );
@@ -45,7 +47,11 @@ fn bench_scheduling_cycle(c: &mut Criterion) {
             let mut p = prepared_policy(n_procs);
             p.release_due(Cycles::ZERO);
             p.release_aperiodic(0, Cycles::ZERO);
-            b.iter(|| black_box(p.assign()));
+            let mut desired = vec![];
+            b.iter(|| {
+                p.assign_into(&mut desired);
+                black_box(&desired);
+            });
         });
     }
     group.finish();

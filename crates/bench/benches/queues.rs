@@ -41,8 +41,8 @@ fn bench_waiting_queue(c: &mut Criterion) {
             for i in 0..19usize {
                 q.push(i, Cycles::new((i as u64 * 37) % 100));
             }
-            black_box(q.pop_due(Cycles::new(50)));
-            black_box(q.pop_due(Cycles::new(100)));
+            black_box(q.pop_due(Cycles::new(50)).sum::<usize>());
+            black_box(q.pop_due(Cycles::new(100)).sum::<usize>());
         });
     });
 }

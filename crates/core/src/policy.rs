@@ -22,7 +22,13 @@
 //!
 //! Jobs remain in their queue while running; the `running` map is a view
 //! saying which queued job each processor currently executes. This makes
-//! [`MpdpPolicy::assign`] a pure function of queue contents.
+//! [`MpdpPolicy::assign_into`] a pure function of queue contents.
+//!
+//! The scheduling primitives the simulators call on every event
+//! ([`Scheduler::release_due_into`], [`Scheduler::promote_due_into`],
+//! [`Scheduler::assign_into`], [`Scheduler::diff_into`]) fill buffers the
+//! caller owns and reuses, so a scheduling pass allocates nothing, and
+//! every scan over jobs covers only the live ones.
 //!
 //! # Examples
 //!
@@ -227,13 +233,15 @@ pub trait Scheduler {
     ///
     /// Implementations panic if `id` is not live.
     fn job(&self, id: JobId) -> &Job;
-    /// Releases periodic tasks due at or before `now`; returns new job ids.
-    fn release_due(&mut self, now: Cycles) -> Vec<JobId>;
+    /// Releases periodic tasks due at or before `now`, replacing the
+    /// contents of `out` with the new job ids.
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>);
     /// Releases an aperiodic job (ISR path).
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId;
     /// Applies promotions due at or before `now` (no-op for single-band
-    /// policies); returns promoted job ids.
-    fn promote_due(&mut self, now: Cycles) -> Vec<JobId>;
+    /// policies), replacing the contents of `out` with the promoted job ids
+    /// in ascending id order.
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>);
     /// Earliest pending promotion instant, if the policy promotes.
     fn next_promotion_time(&self) -> Option<Cycles>;
     /// Earliest parked periodic release.
@@ -244,8 +252,9 @@ pub trait Scheduler {
     fn running(&self) -> &[Option<JobId>];
     /// Completes a job, returning its final record.
     fn complete(&mut self, id: JobId, now: Cycles) -> Job;
-    /// Desired processor → job assignment under this policy.
-    fn assign(&self) -> Vec<Option<JobId>>;
+    /// Replaces the contents of `desired` with the processor → job
+    /// assignment this policy wants, one slot per processor.
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>);
     /// Local pick for a single idle processor (completion path).
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId>;
     /// Notification that `job` executed for `amount` of work ending at
@@ -324,11 +333,14 @@ pub trait Scheduler {
         (total, total)
     }
 
-    /// Diffs the current running map against a desired assignment, yielding
-    /// context-switch actions for processors whose job changes.
-    fn diff(&self, desired: &[Option<JobId>]) -> Vec<SwitchAction> {
+    /// Diffs the current running map against a desired assignment,
+    /// replacing the contents of `actions` with a context-switch action for
+    /// every processor whose job changes. Processors already running their
+    /// desired job produce no action ("the processor is not interrupted and
+    /// can continue its work").
+    fn diff_into(&self, desired: &[Option<JobId>], actions: &mut Vec<SwitchAction>) {
         assert_eq!(desired.len(), self.n_procs(), "one slot per processor");
-        let mut actions = Vec::new();
+        actions.clear();
         for (p, (cur, want)) in self.running().iter().zip(desired).enumerate() {
             if cur != want {
                 actions.push(SwitchAction {
@@ -338,7 +350,6 @@ pub trait Scheduler {
                 });
             }
         }
-        actions
     }
 }
 
@@ -355,7 +366,12 @@ pub struct MpdpPolicy {
     /// re-admission), which clones-on-write via [`Arc::make_mut`] and so
     /// never perturbs other cells sharing the allocation.
     table: Arc<TaskTable>,
+    /// Every job ever released, indexed by id; `None` once retired.
     jobs: Vec<Option<Job>>,
+    /// Ids of the live (`Some`) entries of `jobs`, ascending. Every scan
+    /// over jobs walks this index, so its cost follows the live set rather
+    /// than the number of jobs ever released.
+    live: Vec<JobId>,
     /// Nominal next release per periodic task.
     next_release: Vec<Cycles>,
     wpq: WaitingPeriodicQueue,
@@ -402,6 +418,7 @@ impl MpdpPolicy {
         MpdpPolicy {
             table,
             jobs: Vec::new(),
+            live: Vec::new(),
             next_release,
             wpq,
             prq: PeriodicReadyQueue::new(),
@@ -465,23 +482,33 @@ impl MpdpPolicy {
         &self.running
     }
 
-    /// Ids of all live jobs (queued or running).
+    /// Ids of all live jobs (queued or running), ascending.
     pub fn live_jobs(&self) -> impl Iterator<Item = JobId> + '_ {
-        self.jobs
-            .iter()
-            .filter_map(|slot| slot.as_ref().map(|j| j.id))
+        self.live.iter().copied()
+    }
+
+    /// The records of all live jobs, in ascending id order.
+    fn live_records(&self) -> impl Iterator<Item = &Job> + '_ {
+        self.live.iter().map(|id| self.job(*id))
+    }
+
+    /// [`Self::release_due_into`] into a fresh `Vec`.
+    pub fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
+        let mut out = Vec::new();
+        self.release_due_into(now, &mut out);
+        out
     }
 
     /// Releases every periodic task whose nominal release time is `≤ now`,
-    /// creating jobs in the Periodic Ready Queue. Returns the new job ids.
+    /// creating jobs in the Periodic Ready Queue, and replaces the contents
+    /// of `out` with the new job ids.
     ///
     /// Deadlines and promotion instants are computed from the *nominal*
     /// release, so a scheduler that only checks at ticks (like the paper's
     /// prototype) does not gain slack by noticing releases late.
-    pub fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
-        let due = self.wpq.pop_due(now);
-        let mut out = Vec::with_capacity(due.len());
-        for task_index in due {
+    pub fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        out.clear();
+        for task_index in self.wpq.pop_due(now) {
             let release = self.next_release[task_index];
             let spec = &self.table.periodic()[task_index];
             let job_id = JobId::new(self.jobs.len() as u32);
@@ -495,11 +522,12 @@ impl MpdpPolicy {
                 last_proc: None,
             };
             self.jobs.push(Some(job));
+            // Ids grow with every release, so pushing keeps `live` sorted.
+            self.live.push(job_id);
             self.miss_seen.push(false);
             self.prq.push(job_id, spec.priorities().low);
             out.push(job_id);
         }
-        out
     }
 
     /// Releases an aperiodic job (called from the peripheral ISR path).
@@ -523,6 +551,7 @@ impl MpdpPolicy {
             last_proc: None,
         };
         self.jobs.push(Some(job));
+        self.live.push(job_id);
         self.miss_seen.push(false);
         self.arq.push(job_id);
         job_id
@@ -540,43 +569,41 @@ impl MpdpPolicy {
         Some(self.release_aperiodic(task_index, now))
     }
 
+    /// [`Self::promote_due_into`] into a fresh `Vec`.
+    pub fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
+        let mut out = Vec::new();
+        self.promote_due_into(now, &mut out);
+        out
+    }
+
     /// Promotes every periodic job whose promotion instant is `≤ now`,
     /// moving it from the Periodic Ready Queue to the High Priority Local
-    /// Ready Queue of its design-time processor. Returns the promoted ids.
-    pub fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        let due: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter_map(|slot| slot.as_ref())
-            .filter(|j| !j.promoted && j.promotion_at.is_some_and(|p| p <= now))
-            .map(|j| j.id)
-            .collect();
-        for &id in &due {
-            let (task_index, proc, high) = {
-                let job = self.job(id);
-                let JobClass::Periodic { task_index } = job.class else {
-                    unreachable!("only periodic jobs have promotion instants")
-                };
-                let spec = &self.table.periodic()[task_index];
-                (task_index, spec.processor(), spec.priorities().high)
-            };
-            let _ = task_index;
-            self.prq.remove(id);
-            self.hplrq[proc.index()].push(id, high);
+    /// Ready Queue of its design-time processor, and replaces the contents
+    /// of `out` with the promoted ids. Jobs are promoted in ascending id
+    /// order, which is also their insertion order into the HPLRQ, where it
+    /// breaks ties between equal priorities.
+    pub fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        out.clear();
+        for &id in &self.live {
             let job = self.jobs[id.index()].as_mut().expect("live job");
+            if job.promoted || job.promotion_at.is_none_or(|p| p > now) {
+                continue;
+            }
+            let JobClass::Periodic { task_index } = job.class else {
+                unreachable!("only periodic jobs have promotion instants")
+            };
             job.promoted = true;
             job.promotion_at = None;
+            let spec = &self.table.periodic()[task_index];
+            self.prq.remove(id);
+            self.hplrq[spec.processor().index()].push(id, spec.priorities().high);
+            out.push(id);
         }
-        due
     }
 
     /// The earliest pending promotion instant among live unpromoted jobs.
     pub fn next_promotion_time(&self) -> Option<Cycles> {
-        self.jobs
-            .iter()
-            .filter_map(|slot| slot.as_ref())
-            .filter_map(|j| j.promotion_at)
-            .min()
+        self.live_records().filter_map(|j| j.promotion_at).min()
     }
 
     /// The earliest nominal release time parked in the Waiting Periodic
@@ -619,6 +646,11 @@ impl MpdpPolicy {
         let job = self.jobs[id.index()]
             .take()
             .expect("completing a job that is not live");
+        let pos = self
+            .live
+            .binary_search(&id)
+            .expect("every live job is indexed");
+        self.live.remove(pos);
         self.prq.remove(id);
         self.arq.remove(id);
         for q in &mut self.hplrq {
@@ -637,8 +669,16 @@ impl MpdpPolicy {
         job
     }
 
+    /// [`Self::assign_into`] into a fresh `Vec`.
+    pub fn assign(&self) -> Vec<Option<JobId>> {
+        let mut desired = Vec::new();
+        self.assign_into(&mut desired);
+        desired
+    }
+
     /// Computes the MPDP-desired assignment of jobs to processors as a pure
-    /// function of the current queues:
+    /// function of the current queues, replacing the contents of `desired`
+    /// (one slot per processor):
     ///
     /// 1. every processor with promoted work gets the top of its own High
     ///    Priority Local Ready Queue;
@@ -647,53 +687,47 @@ impl MpdpPolicy {
     /// 3. global jobs are placed with affinity — a job keeps the processor
     ///    it last ran on when that processor is available — so that context
     ///    switches happen "only when necessary" (§5).
-    pub fn assign(&self) -> Vec<Option<JobId>> {
-        let m = self.n_procs();
+    pub fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
         // Dead processors never receive work (their HPLRQs are drained by
         // `fail_processor`, but guard anyway).
-        let mut desired: Vec<Option<JobId>> = self
-            .hplrq
-            .iter()
-            .enumerate()
-            .map(|(p, q)| if self.alive[p] { q.peek() } else { None })
-            .collect();
-        debug_assert_eq!(desired.len(), m);
-        let n_free = desired
-            .iter()
-            .enumerate()
-            .filter(|&(p, d)| d.is_none() && self.alive[p])
-            .count();
-        let globals: Vec<JobId> = self
-            .arq
-            .iter()
-            .chain(self.prq.iter())
-            .take(n_free)
-            .collect();
+        desired.clear();
+        desired.extend(
+            self.hplrq
+                .iter()
+                .zip(&self.alive)
+                .map(|(q, &alive)| if alive { q.peek() } else { None }),
+        );
+        let free = |desired: &[Option<JobId>], p: usize| desired[p].is_none() && self.alive[p];
+        let n_free = (0..desired.len()).filter(|&p| free(desired, p)).count();
+        let globals = || self.arq.iter().chain(self.prq.iter()).take(n_free);
         // Affinity pass: place each selected global job on its last
         // processor when that slot is still free.
-        let mut deferred = Vec::new();
-        for id in globals {
-            let last = self.job(id).last_proc;
-            match last {
-                Some(p) if desired[p.index()].is_none() && self.alive[p.index()] => {
-                    desired[p.index()] = Some(id)
+        for id in globals() {
+            if let Some(p) = self.job(id).last_proc {
+                if free(desired, p.index()) {
+                    desired[p.index()] = Some(id);
                 }
-                _ => deferred.push(id),
             }
         }
-        // Remaining jobs go to the lowest-index free live processors.
-        let mut free = desired
-            .iter()
-            .enumerate()
-            .filter(|&(p, d)| d.is_none() && self.alive[p])
-            .map(|(p, _)| p)
-            .collect::<Vec<_>>()
-            .into_iter();
-        for id in deferred {
-            let p = free.next().expect("one free slot per selected global job");
+        // Placement pass: every global job the affinity pass left out goes
+        // to the lowest-index free live processor. A global job is never in
+        // a HPLRQ, so it sits on its last processor exactly when the
+        // affinity pass placed it there.
+        let mut next_free = 0;
+        for id in globals() {
+            let placed = self
+                .job(id)
+                .last_proc
+                .is_some_and(|p| desired[p.index()] == Some(id));
+            if placed {
+                continue;
+            }
+            let p = (next_free..desired.len())
+                .find(|&p| free(desired, p))
+                .expect("one free slot per selected global job");
             desired[p] = Some(id);
+            next_free = p + 1;
         }
-        desired
     }
 
     /// Picks the next job for a single idle processor without disturbing the
@@ -729,6 +763,21 @@ impl MpdpPolicy {
     /// whether or not it is currently running.
     pub fn next_aperiodic(&self) -> Option<JobId> {
         self.arq.peek()
+    }
+
+    /// The Aperiodic Ready Queue (middle band), read-only.
+    pub fn aperiodic_queue(&self) -> &AperiodicReadyQueue {
+        &self.arq
+    }
+
+    /// The Periodic Ready Queue (lower band), read-only.
+    pub fn periodic_queue(&self) -> &PeriodicReadyQueue {
+        &self.prq
+    }
+
+    /// `proc`'s High Priority Local Ready Queue (upper band), read-only.
+    pub fn local_queue(&self, proc: ProcId) -> &HighPrioLocalQueue {
+        &self.hplrq[proc.index()]
     }
 
     /// [`MpdpPolicy::pick_for_idle`] with middle-band (aperiodic) jobs
@@ -782,16 +831,13 @@ impl MpdpPolicy {
     /// surfaces as a miss.
     pub fn detect_missed(&mut self, now: Cycles) -> Vec<JobId> {
         let mut out = Vec::new();
-        for job in self.jobs.iter().filter_map(|s| s.as_ref()) {
-            let Some(deadline) = job.absolute_deadline else {
-                continue;
-            };
-            if deadline < now && !self.miss_seen[job.id.index()] {
-                out.push(job.id);
+        for &id in &self.live {
+            let job = self.jobs[id.index()].as_ref().expect("live job");
+            let seen = &mut self.miss_seen[id.index()];
+            if job.absolute_deadline.is_some_and(|d| d < now) && !*seen {
+                *seen = true;
+                out.push(id);
             }
-        }
-        for &id in &out {
-            self.miss_seen[id.index()] = true;
         }
         out
     }
@@ -995,33 +1041,17 @@ impl MpdpPolicy {
         }
     }
 
-    /// Diffs the current running map against a desired assignment, yielding
-    /// the context-switch actions. Processors already running their desired
-    /// job produce no action ("the processor is not interrupted and can
-    /// continue its work").
-    pub fn diff(&self, desired: &[Option<JobId>]) -> Vec<SwitchAction> {
-        assert_eq!(desired.len(), self.n_procs(), "one slot per processor");
-        let mut actions = Vec::new();
-        for (p, (cur, want)) in self.running.iter().zip(desired).enumerate() {
-            if cur != want {
-                actions.push(SwitchAction {
-                    proc: ProcId::new(p as u32),
-                    save: *cur,
-                    restore: *want,
-                });
-            }
-        }
-        actions
-    }
-
     /// Checks internal invariants; used by tests and debug assertions.
     ///
     /// # Panics
     ///
     /// Panics with a description of the violated invariant.
     pub fn check_invariants(&self) {
+        // The live index lists exactly the live jobs, ascending.
+        let live: Vec<JobId> = self.jobs.iter().flatten().map(|j| j.id).collect();
+        assert_eq!(self.live, live, "live index out of step with the job table");
         // Every live job is in exactly one queue.
-        for slot in self.jobs.iter().filter_map(|s| s.as_ref()) {
+        for slot in self.live_records() {
             let in_prq = self.prq.contains(slot.id) as usize;
             let in_arq = self.arq.contains(slot.id) as usize;
             let in_hp: usize = self
@@ -1095,14 +1125,14 @@ impl Scheduler for MpdpPolicy {
     fn job(&self, id: JobId) -> &Job {
         self.job(id)
     }
-    fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
-        self.release_due(now)
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.release_due_into(now, out)
     }
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId {
         self.release_aperiodic(task_index, now)
     }
-    fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        self.promote_due(now)
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.promote_due_into(now, out)
     }
     fn next_promotion_time(&self) -> Option<Cycles> {
         self.next_promotion_time()
@@ -1119,8 +1149,8 @@ impl Scheduler for MpdpPolicy {
     fn complete(&mut self, id: JobId, now: Cycles) -> Job {
         self.complete(id, now)
     }
-    fn assign(&self) -> Vec<Option<JobId>> {
-        self.assign()
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
+        self.assign_into(desired)
     }
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId> {
         self.pick_for_idle(proc)
@@ -1257,7 +1287,9 @@ mod tests {
         // Re-running assignment with unchanged state changes nothing.
         let desired2 = policy.assign();
         assert_eq!(desired1, desired2);
-        assert!(policy.diff(&desired2).is_empty());
+        let mut actions = vec![];
+        policy.diff_into(&desired2, &mut actions);
+        assert!(actions.is_empty());
         let _ = jobs;
         policy.check_invariants();
     }
@@ -1302,7 +1334,8 @@ mod tests {
         let mut policy = MpdpPolicy::new(fig3_like_table());
         let jobs = policy.release_due(Cycles::ZERO);
         let desired = policy.assign();
-        let actions = policy.diff(&desired);
+        let mut actions = vec![];
+        policy.diff_into(&desired, &mut actions);
         assert_eq!(actions.len(), desired.iter().flatten().count());
         for a in &actions {
             assert!(a.save.is_none());

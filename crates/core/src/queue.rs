@@ -56,10 +56,11 @@ impl WaitingPeriodicQueue {
         self.entries.insert(pos, (release, seq, task_index));
     }
 
-    /// Removes and returns every task whose release time is `≤ now`.
-    pub fn pop_due(&mut self, now: Cycles) -> Vec<usize> {
+    /// Removes every task whose release time is `≤ now`, yielding them in
+    /// release order (FIFO among equal releases).
+    pub fn pop_due(&mut self, now: Cycles) -> impl Iterator<Item = usize> + '_ {
         let split = self.entries.partition_point(|&(r, _, _)| r <= now);
-        self.entries.drain(..split).map(|(_, _, t)| t).collect()
+        self.entries.drain(..split).map(|(_, _, t)| t)
     }
 
     /// The earliest parked release time, if any.
@@ -230,10 +231,10 @@ mod tests {
         wpq.push(1, Cycles::new(100));
         wpq.push(2, Cycles::new(200));
         assert_eq!(wpq.next_release(), Some(Cycles::new(100)));
-        assert_eq!(wpq.pop_due(Cycles::new(250)), vec![1, 2]);
+        assert_eq!(wpq.pop_due(Cycles::new(250)).collect::<Vec<_>>(), [1, 2]);
         assert_eq!(wpq.len(), 1);
-        assert_eq!(wpq.pop_due(Cycles::new(299)), Vec::<usize>::new());
-        assert_eq!(wpq.pop_due(Cycles::new(300)), vec![0]);
+        assert_eq!(wpq.pop_due(Cycles::new(299)).count(), 0);
+        assert_eq!(wpq.pop_due(Cycles::new(300)).collect::<Vec<_>>(), [0]);
         assert!(wpq.is_empty());
         assert_eq!(wpq.next_release(), None);
     }
@@ -244,7 +245,7 @@ mod tests {
         wpq.push(5, Cycles::new(100));
         wpq.push(3, Cycles::new(100));
         wpq.push(8, Cycles::new(100));
-        assert_eq!(wpq.pop_due(Cycles::new(100)), vec![5, 3, 8]);
+        assert_eq!(wpq.pop_due(Cycles::new(100)).collect::<Vec<_>>(), [5, 3, 8]);
     }
 
     #[test]

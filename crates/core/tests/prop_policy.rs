@@ -1,10 +1,15 @@
 //! Property tests for the MPDP policy state machine: structural invariants
 //! hold under arbitrary interleavings of releases, promotions, assignment,
-//! and completions.
+//! and completions, and the allocation-free primitives agree with
+//! reference implementations — a copy of the `Vec`-building assignment
+//! algorithm they replaced, and brute-force scans over every job ever
+//! released.
+
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use mpdp_core::ids::{ProcId, TaskId};
+use mpdp_core::ids::{JobId, ProcId, TaskId};
 use mpdp_core::policy::MpdpPolicy;
 use mpdp_core::priority::Priority;
 use mpdp_core::rta::build_task_table;
@@ -165,6 +170,228 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The assignment algorithm as it stood before it filled caller-owned
+/// buffers: it collected the selected global jobs, the jobs the affinity
+/// pass could not place, and the free slots into temporaries. Kept as the
+/// reference `assign_into` must reproduce slot for slot.
+fn reference_assign(policy: &MpdpPolicy) -> Vec<Option<JobId>> {
+    let alive = |p: usize| policy.is_alive(ProcId::new(p as u32));
+    let mut desired: Vec<Option<JobId>> = (0..policy.n_procs())
+        .map(|p| {
+            if alive(p) {
+                policy.local_queue(ProcId::new(p as u32)).peek()
+            } else {
+                None
+            }
+        })
+        .collect();
+    let n_free = desired
+        .iter()
+        .enumerate()
+        .filter(|&(p, d)| d.is_none() && alive(p))
+        .count();
+    let globals: Vec<JobId> = policy
+        .aperiodic_queue()
+        .iter()
+        .chain(policy.periodic_queue().iter())
+        .take(n_free)
+        .collect();
+    let mut deferred = Vec::new();
+    for id in globals {
+        match policy.job(id).last_proc {
+            Some(p) if desired[p.index()].is_none() && alive(p.index()) => {
+                desired[p.index()] = Some(id)
+            }
+            _ => deferred.push(id),
+        }
+    }
+    let mut free = desired
+        .iter()
+        .enumerate()
+        .filter(|&(p, d)| d.is_none() && alive(p))
+        .map(|(p, _)| p)
+        .collect::<Vec<_>>()
+        .into_iter();
+    for id in deferred {
+        let p = free.next().expect("one free slot per selected global job");
+        desired[p] = Some(id);
+    }
+    desired
+}
+
+/// One step of the differential drive. Indices pick among the candidates
+/// that exist at that moment, modulo their count.
+#[derive(Debug, Clone)]
+enum Step {
+    /// Advance time, then release due periodic jobs.
+    Advance(u64),
+    /// Promote due jobs (checked against a brute-force scan).
+    Promote,
+    /// Release an aperiodic job.
+    Aperiodic,
+    /// Run a live, not-running job on a live processor: builds up
+    /// `last_proc` affinity, including several jobs sharing one processor.
+    Run { job: usize, proc: usize },
+    /// Idle a processor, leaving its job queued with affinity to it.
+    Idle(usize),
+    /// Complete a live job.
+    Complete(usize),
+    /// Kill a live job.
+    Kill(usize),
+    /// Demote a live job.
+    Demote(usize),
+    /// Fail-stop a processor.
+    Fail(usize),
+    /// Scan for deadline misses.
+    DetectMissed,
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    // Repeated arms weight the draw towards releases and runs, which build
+    // the queue states (and affinity collisions) the other steps probe.
+    let advance = || (1u64..5000).prop_map(Step::Advance);
+    let run = || (any::<usize>(), any::<usize>()).prop_map(|(job, proc)| Step::Run { job, proc });
+    prop::collection::vec(
+        prop_oneof![
+            advance(),
+            advance(),
+            Just(Step::Promote),
+            Just(Step::Aperiodic),
+            run(),
+            run(),
+            any::<usize>().prop_map(Step::Idle),
+            any::<usize>().prop_map(Step::Complete),
+            any::<usize>().prop_map(Step::Kill),
+            any::<usize>().prop_map(Step::Demote),
+            any::<usize>().prop_map(Step::Fail),
+            Just(Step::DetectMissed),
+        ],
+        1..120,
+    )
+}
+
+/// The brute-force side of the comparison: every job id ever released and
+/// every id retired since, so liveness and the scans can be recomputed
+/// without the policy's live index.
+#[derive(Default)]
+struct Ledger {
+    released: Vec<JobId>,
+    retired: BTreeSet<JobId>,
+    reported_missed: BTreeSet<JobId>,
+}
+
+impl Ledger {
+    fn live(&self) -> Vec<JobId> {
+        self.released
+            .iter()
+            .copied()
+            .filter(|id| !self.retired.contains(id))
+            .collect()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Under random releases, completions, kills, demotions, promotions,
+    /// affinity-building runs and fail-stops: `assign_into` equals the
+    /// reference algorithm (also into a dirty reused buffer), and
+    /// `live_jobs`, `next_promotion_time`, `promote_due_into` and
+    /// `detect_missed` equal brute-force scans over all released jobs.
+    #[test]
+    fn primitives_match_references(
+        n_procs in 1usize..=4,
+        steps in arb_steps(),
+    ) {
+        let mut policy = build_policy(n_procs, 5);
+        let mut ledger = Ledger::default();
+        let mut now = Cycles::ZERO;
+        let mut reused = vec![Some(JobId::new(u32::MAX)); 7];
+        let mut out = vec![JobId::new(u32::MAX)];
+        for step in steps {
+            let live = ledger.live();
+            let pick = |i: usize| (!live.is_empty()).then(|| live[i % live.len()]);
+            match step {
+                Step::Advance(dt) => {
+                    now += Cycles::new(dt);
+                    policy.release_due_into(now, &mut out);
+                    ledger.released.extend_from_slice(&out);
+                }
+                Step::Promote => {
+                    let expected: Vec<JobId> = live
+                        .iter()
+                        .copied()
+                        .filter(|&id| {
+                            let job = policy.job(id);
+                            !job.promoted && job.promotion_at.is_some_and(|p| p <= now)
+                        })
+                        .collect();
+                    policy.promote_due_into(now, &mut out);
+                    prop_assert_eq!(&out, &expected, "promote_due vs brute-force scan");
+                    for id in &out {
+                        prop_assert!(policy.job(*id).promoted);
+                    }
+                }
+                Step::Aperiodic => {
+                    ledger.released.push(policy.release_aperiodic(0, now));
+                }
+                Step::Run { job, proc } => {
+                    let p = ProcId::new((proc % n_procs) as u32);
+                    let idle: Vec<JobId> =
+                        live.iter().copied().filter(|&j| !policy.is_running(j)).collect();
+                    if policy.is_alive(p) && !idle.is_empty() {
+                        policy.set_running(p, Some(idle[job % idle.len()]));
+                    }
+                }
+                Step::Idle(proc) => policy.set_running(ProcId::new((proc % n_procs) as u32), None),
+                Step::Complete(i) => {
+                    if let Some(id) = pick(i) {
+                        policy.complete(id, now);
+                        ledger.retired.insert(id);
+                    }
+                }
+                Step::Kill(i) => {
+                    if let Some(id) = pick(i) {
+                        policy.kill_job(id, now);
+                        ledger.retired.insert(id);
+                    }
+                }
+                Step::Demote(i) => {
+                    if let Some(id) = pick(i) {
+                        policy.demote_job(id);
+                    }
+                }
+                Step::Fail(proc) => {
+                    let report = policy.fail_processor(ProcId::new((proc % n_procs) as u32), now);
+                    ledger.retired.extend(report.lost);
+                }
+                Step::DetectMissed => {
+                    let expected: Vec<JobId> = live
+                        .iter()
+                        .copied()
+                        .filter(|&id| {
+                            policy.job(id).absolute_deadline.is_some_and(|d| d < now)
+                                && !ledger.reported_missed.contains(&id)
+                        })
+                        .collect();
+                    let missed = policy.detect_missed(now);
+                    prop_assert_eq!(&missed, &expected, "detect_missed vs brute-force scan");
+                    ledger.reported_missed.extend(missed);
+                }
+            }
+            policy.check_invariants();
+            let live = ledger.live();
+            prop_assert_eq!(policy.live_jobs().collect::<Vec<_>>(), live.clone());
+            let next_promotion = live.iter().filter_map(|&id| policy.job(id).promotion_at).min();
+            prop_assert_eq!(policy.next_promotion_time(), next_promotion);
+            let expected = reference_assign(&policy);
+            prop_assert_eq!(policy.assign(), expected.clone(), "assign vs reference");
+            policy.assign_into(&mut reused);
+            prop_assert_eq!(&reused, &expected, "assign_into a reused buffer");
         }
     }
 }

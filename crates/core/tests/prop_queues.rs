@@ -72,7 +72,7 @@ proptest! {
         for (i, &release) in entries.iter().enumerate() {
             q.push(i, Cycles::new(release));
         }
-        let due = q.pop_due(Cycles::new(cut));
+        let due: Vec<usize> = q.pop_due(Cycles::new(cut)).collect();
         let expected = entries.iter().filter(|&&r| r <= cut).count();
         prop_assert_eq!(due.len(), expected);
         for w in due.windows(2) {

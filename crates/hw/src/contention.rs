@@ -102,7 +102,8 @@ impl ContentionModel {
     /// hot loop recomputing speeds on every scheduling event does not
     /// allocate. `out` is cleared and refilled; the arithmetic sequence is
     /// identical to [`ContentionModel::speeds`] (same fixed point, same
-    /// rounding), so results are bit-equal.
+    /// rounding), so results are bit-equal. The solve itself allocates
+    /// nothing.
     ///
     /// # Panics
     ///
@@ -122,17 +123,14 @@ impl ContentionModel {
         let n = access_rates.len();
         let x = out;
         x.resize(n, 1.0f64);
-        // One scratch allocation per *call*; the fixed-point loop itself
-        // (up to MAX_ITERS rounds) allocates nothing.
-        let mut contrib = vec![0.0f64; n];
         for _ in 0..MAX_ITERS {
-            for i in 0..n {
-                contrib[i] = x[i] * access_rates[i] * s;
-            }
-            let rho_total: f64 = contrib.iter().sum();
+            // Processor `i`'s own contribution `x[i]·a_i·S` is recomputed
+            // where it is needed: `x[i]` only changes after that use.
+            let contrib = |x: &[f64], i: usize| x[i] * access_rates[i] * s;
+            let rho_total: f64 = (0..n).map(|i| contrib(x, i)).sum();
             let mut max_delta = 0.0f64;
             for i in 0..n {
-                let rho_others = (rho_total - contrib[i]).clamp(0.0, 0.999_999);
+                let rho_others = (rho_total - contrib(x, i)).clamp(0.0, 0.999_999);
                 let w = self.wait_time(rho_others);
                 let target = 1.0 / (1.0 + access_rates[i] * w);
                 let damped = x[i] + DAMPING * (target - x[i]);
@@ -187,12 +185,14 @@ impl ContentionModel {
 
     /// The mean per-transaction queueing delay (cycles) at the operating
     /// point the given rates settle into — used to price one-off bus bursts
-    /// (context switches, ISR register traffic) under current load.
-    pub fn queueing_delay(&self, access_rates: &[f64]) -> f64 {
-        let speeds = self.speeds(access_rates);
+    /// (context switches, ISR register traffic) under current load. The
+    /// operating point is solved into the caller-owned `speeds` buffer, so
+    /// a hot loop allocates nothing.
+    pub fn queueing_delay(&self, access_rates: &[f64], speeds: &mut Vec<f64>) -> f64 {
+        self.speeds_into(access_rates, speeds);
         let rho: f64 = access_rates
             .iter()
-            .zip(&speeds)
+            .zip(speeds.iter())
             .map(|(&a, &x)| a * x * self.service)
             .sum();
         self.wait_time(rho)

@@ -107,12 +107,13 @@ enum ProcState {
 }
 
 /// A pending interrupt not yet signaled (its target set is busy).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     source: InterruptSource,
-    /// Routing constraint: `None` = any free processor; `Some(procs)` =
-    /// only these (booking → one entry; directed IPI → one entry).
-    targets: Option<Vec<ProcId>>,
+    /// Routing constraint: `None` = any free processor; `Some(proc)` =
+    /// only that one (a booking, a directed IPI or timer, or one entry of a
+    /// multicast expansion).
+    target: Option<ProcId>,
     /// Index of the next processor to try in the priority list (for timeout
     /// rotation).
     next_try: usize,
@@ -156,7 +157,7 @@ pub struct MpInterruptController {
     signal: Vec<Option<SignaledInterrupt>>,
     /// Routing constraint of each raised signal (needed to re-route on
     /// timeout without widening a booked/directed delivery).
-    signal_targets: Vec<Option<Vec<ProcId>>>,
+    signal_targets: Vec<Option<ProcId>>,
     /// Peripheral bookings: `booking[p]` restricts peripheral `p`'s
     /// interrupts to one processor.
     booking: Vec<Option<ProcId>>,
@@ -245,11 +246,11 @@ impl MpInterruptController {
         if let Some(mask) = self.multicast[p.index()] {
             for i in 0..self.n_procs {
                 if mask & (1 << i) != 0 {
-                    self.enqueue(source, now, Some(vec![ProcId::new(i as u32)]));
+                    self.enqueue(source, now, Some(ProcId::new(i as u32)));
                 }
             }
         } else if let Some(proc) = self.booking[p.index()] {
-            self.enqueue(source, now, Some(vec![proc]));
+            self.enqueue(source, now, Some(proc));
         } else {
             self.enqueue(source, now, None);
         }
@@ -269,18 +270,14 @@ impl MpInterruptController {
     /// `ablate_intc` experiment.
     pub fn raise_timer_to(&mut self, proc: ProcId, now: Cycles) {
         assert!(proc.index() < self.n_procs, "processor out of range");
-        self.enqueue(InterruptSource::Timer, now, Some(vec![proc]));
+        self.enqueue(InterruptSource::Timer, now, Some(proc));
     }
 
     /// Raises the timer as a broadcast to every processor (the alternative
     /// global-tick configuration the paper mentions).
     pub fn raise_timer_broadcast(&mut self, now: Cycles) {
         for i in 0..self.n_procs {
-            self.enqueue(
-                InterruptSource::Timer,
-                now,
-                Some(vec![ProcId::new(i as u32)]),
-            );
+            self.enqueue(InterruptSource::Timer, now, Some(ProcId::new(i as u32)));
         }
     }
 
@@ -292,14 +289,14 @@ impl MpInterruptController {
     /// Panics if either processor is out of range.
     pub fn raise_ipi(&mut self, from: ProcId, to: ProcId, payload: u32, now: Cycles) {
         assert!(from.index() < self.n_procs && to.index() < self.n_procs);
-        self.enqueue(InterruptSource::Ipi { from, payload }, now, Some(vec![to]));
+        self.enqueue(InterruptSource::Ipi { from, payload }, now, Some(to));
     }
 
-    fn enqueue(&mut self, source: InterruptSource, now: Cycles, targets: Option<Vec<ProcId>>) {
+    fn enqueue(&mut self, source: InterruptSource, now: Cycles, target: Option<ProcId>) {
         self.stats.raised += 1;
         self.pending.push_back(Pending {
             source,
-            targets,
+            target,
             next_try: 0,
         });
         self.route(now);
@@ -308,43 +305,41 @@ impl MpInterruptController {
     /// Attempts to signal pending interrupts to free processors. Higher
     /// priority sources route first; FIFO within a source class.
     fn route(&mut self, now: Cycles) {
-        // Stable sort by priority class, preserving arrival order within.
-        let mut items: Vec<Pending> = self.pending.drain(..).collect();
-        items.sort_by_key(|p| p.source.priority_key());
-        let mut remaining = VecDeque::new();
-        for mut item in items {
-            if !self.try_signal(&mut item, now) {
-                remaining.push_back(item);
-            }
-        }
-        self.pending = remaining;
+        // Stable sort by priority class, preserving arrival order within;
+        // whatever finds no free processor stays pending in that order.
+        let mut pending = std::mem::take(&mut self.pending);
+        pending
+            .make_contiguous()
+            .sort_by_key(|p| p.source.priority_key());
+        pending.retain(|item| !self.try_signal(item, now));
+        self.pending = pending;
     }
 
     /// Tries to raise the line for one pending interrupt; returns `true` if
     /// signaled.
-    fn try_signal(&mut self, item: &mut Pending, now: Cycles) -> bool {
-        let candidates: Vec<ProcId> = match &item.targets {
-            Some(t) => t.clone(),
-            None => (0..self.n_procs as u32).map(ProcId::new).collect(),
+    fn try_signal(&mut self, item: &Pending, now: Cycles) -> bool {
+        // A constrained line has exactly one candidate; an open one walks
+        // the fixed priority list from `next_try`, wrapping (timeout
+        // rotation).
+        let n = self.n_procs;
+        let free = match item.target {
+            Some(proc) => Some(proc).filter(|&p| self.is_free(p)),
+            None => (0..n)
+                .map(|off| ProcId::new(((item.next_try + off) % n) as u32))
+                .find(|&p| self.is_free(p)),
         };
-        // Rotation: start from next_try and wrap (fixed priority list with
-        // timeout advance).
-        let n = candidates.len();
-        for off in 0..n {
-            let proc = candidates[(item.next_try + off) % n];
-            if self.proc_state[proc.index()] == ProcState::Free {
-                self.proc_state[proc.index()] = ProcState::Signaled;
-                self.signal[proc.index()] = Some(SignaledInterrupt {
-                    source: item.source,
-                    signaled_at: now,
-                    deadline: now + self.ack_timeout,
-                });
-                self.signal_targets[proc.index()] = item.targets.clone();
-                self.stats.signaled += 1;
-                return true;
-            }
-        }
-        false
+        let Some(proc) = free else {
+            return false;
+        };
+        self.proc_state[proc.index()] = ProcState::Signaled;
+        self.signal[proc.index()] = Some(SignaledInterrupt {
+            source: item.source,
+            signaled_at: now,
+            deadline: now + self.ack_timeout,
+        });
+        self.signal_targets[proc.index()] = item.target;
+        self.stats.signaled += 1;
+        true
     }
 
     /// The interrupt currently signaled to `proc`, if its line is high.
@@ -411,7 +406,7 @@ impl MpInterruptController {
                     expired.push(ProcId::new(i as u32));
                     self.pending.push_back(Pending {
                         source: sig.source,
-                        targets: self.signal_targets[i].take(),
+                        target: self.signal_targets[i].take(),
                         next_try: i + 1, // subsequent processor in the list
                     });
                 }
@@ -449,7 +444,7 @@ impl MpInterruptController {
             self.stats.timeouts += 1;
             self.pending.push_back(Pending {
                 source: sig.source,
-                targets: self.signal_targets[i].take(),
+                target: self.signal_targets[i].take(),
                 next_try: i + 1,
             });
         }
@@ -666,5 +661,102 @@ mod tests {
     fn eoi_outside_isr_panics() {
         let mut c = intc(1);
         c.end_of_interrupt(ProcId::new(0), Cycles::ZERO);
+    }
+
+    /// Acknowledges and ends whatever is signaled to `proc`, returning it.
+    fn serve(c: &mut MpInterruptController, proc: ProcId, now: Cycles) -> InterruptSource {
+        let source = c.acknowledge(proc, now).source;
+        c.end_of_interrupt(proc, now);
+        source
+    }
+
+    /// The processors whose line is currently raised.
+    fn raised(c: &MpInterruptController) -> Vec<u32> {
+        (0..c.n_procs() as u32)
+            .filter(|&i| c.signaled(ProcId::new(i)).is_some())
+            .collect()
+    }
+
+    #[test]
+    fn routing_ranks_classes_and_keeps_each_class_fifo() {
+        let mut c = intc(1);
+        let p0 = ProcId::new(0);
+        c.raise_peripheral(PeripheralId::new(3), Cycles::ZERO);
+        c.acknowledge(p0, Cycles::new(1));
+        // Queue behind the busy processor, interleaving the classes.
+        c.raise_peripheral(PeripheralId::new(2), Cycles::new(2));
+        c.raise_ipi(p0, p0, 1, Cycles::new(3));
+        c.raise_timer(Cycles::new(4));
+        c.raise_peripheral(PeripheralId::new(2), Cycles::new(5));
+        c.raise_ipi(p0, p0, 2, Cycles::new(6));
+        assert_eq!(c.pending_count(), 5);
+        c.end_of_interrupt(p0, Cycles::new(10));
+        let ipi = |payload| InterruptSource::Ipi { from: p0, payload };
+        let order: Vec<InterruptSource> = (0..5)
+            .map(|k| serve(&mut c, p0, Cycles::new(20 + k)))
+            .collect();
+        let periph = InterruptSource::Peripheral(PeripheralId::new(2));
+        assert_eq!(
+            order,
+            [ipi(1), ipi(2), InterruptSource::Timer, periph, periph],
+            "IPIs before the timer before peripherals, FIFO within each"
+        );
+        assert_eq!(c.pending_count(), 0);
+    }
+
+    #[test]
+    fn undirected_timeouts_rotate_up_the_list_then_wrap() {
+        let mut c = intc(4);
+        // Park P2 inside an ISR so the rotation has to skip it.
+        for per in 1..=3 {
+            c.raise_peripheral(PeripheralId::new(per), Cycles::ZERO);
+        }
+        for p in 0..3 {
+            c.acknowledge(ProcId::new(p), Cycles::ZERO);
+        }
+        c.end_of_interrupt(ProcId::new(0), Cycles::ZERO);
+        c.end_of_interrupt(ProcId::new(1), Cycles::ZERO);
+        c.raise_peripheral(PeripheralId::new(0), Cycles::ZERO);
+        assert_eq!(raised(&c), [0]);
+        // P0 → P1 → (P2 busy) P3 → wrap to P0 → P1.
+        for expected in [1, 3, 0, 1] {
+            let now = c.next_timeout().expect("a raised line");
+            c.expire_timeouts(now);
+            assert_eq!(raised(&c), [expected], "after the timeout at {now}");
+        }
+        assert_eq!(c.stats().timeouts, 4);
+        assert_eq!(c.pending_count(), 0);
+    }
+
+    #[test]
+    fn single_target_lines_reroute_only_to_their_target() {
+        let (p0, p1, p2) = (ProcId::new(0), ProcId::new(1), ProcId::new(2));
+        // A directed IPI and a booked peripheral, each timed out: the line
+        // comes back to the same processor, never to a free neighbour.
+        let mut c = intc(3);
+        c.book(PeripheralId::new(0), Some(p2));
+        c.raise_ipi(p0, p1, 7, Cycles::ZERO);
+        c.raise_peripheral(PeripheralId::new(0), Cycles::ZERO);
+        assert_eq!(raised(&c), [1, 2]);
+        c.expire_timeouts(Cycles::new(100));
+        assert_eq!(raised(&c), [1, 2], "re-signaled to the same targets");
+        assert_eq!(
+            c.signaled(p1).map(|s| s.source),
+            Some(InterruptSource::Ipi {
+                from: p0,
+                payload: 7
+            })
+        );
+        assert_eq!(
+            c.signaled(p2).map(|s| s.source),
+            Some(InterruptSource::Peripheral(PeripheralId::new(0)))
+        );
+        // Fail-stopping the targets withdraws both lines; with their only
+        // receiver dead they wait, undelivered and unlost.
+        c.fail_stop(p1, Cycles::new(150));
+        c.fail_stop(p2, Cycles::new(150));
+        assert!(raised(&c).is_empty(), "P0 is free but never a target");
+        assert_eq!(c.pending_count(), 2);
+        assert!(c.is_free(p0));
     }
 }

@@ -11,7 +11,7 @@
 //! measured differences come from the policy alone.
 //!
 //! ```
-//! use mpdp_kernel::{Microkernel, KernelCosts};
+//! use mpdp_kernel::{Microkernel, KernelCosts, SchedulingPass};
 //! use mpdp_core::policy::MpdpPolicy;
 //! use mpdp_core::rta::build_task_table;
 //! use mpdp_core::task::PeriodicTask;
@@ -24,7 +24,8 @@
 //!     .with_priorities(Priority::new(0), Priority::new(1));
 //! let table = build_task_table(vec![t], vec![], 1)?;
 //! let mut kernel = Microkernel::new(MpdpPolicy::new(table), KernelCosts::default());
-//! let pass = kernel.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+//! let mut pass = SchedulingPass::default();
+//! kernel.scheduling_pass(ProcId::new(0), Cycles::ZERO, true, &mut pass);
 //! assert_eq!(pass.released.len(), 1);
 //! # Ok(())
 //! # }

@@ -30,17 +30,33 @@ use mpdp_obs::{EventKind, Probe};
 use crate::costs::{KernelCost, KernelCosts};
 
 /// Everything a scheduling pass decided.
-#[derive(Debug, Clone)]
+///
+/// The caller owns one and hands it to every pass, which overwrites all of
+/// it; its buffers keep their capacity, so a pass allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct SchedulingPass {
     /// Jobs released into the ready queues.
     pub released: Vec<JobId>,
     /// Jobs promoted to the upper band.
     pub promoted: Vec<JobId>,
+    /// The assignment the pass computed, one slot per processor.
+    pub desired: Vec<Option<JobId>>,
     /// Context-switch actions to carry out (the scheduling processor's own
     /// action, if any, is included).
     pub actions: Vec<SwitchAction>,
     /// CPU + bus cost of the pass on the scheduling processor.
     pub cost: KernelCost,
+}
+
+impl SchedulingPass {
+    /// Records a pass that decided nothing and cost `cost`.
+    fn set_empty(&mut self, cost: KernelCost) {
+        self.released.clear();
+        self.promoted.clear();
+        self.desired.clear();
+        self.actions.clear();
+        self.cost = cost;
+    }
 }
 
 /// Kernel activity counters.
@@ -154,7 +170,8 @@ impl<S: Scheduler> Microkernel<S> {
         self.stats
     }
 
-    /// Runs one scheduling cycle on `on_proc` at `now`.
+    /// Runs one scheduling cycle on `on_proc` at `now`, recording what it
+    /// decided in `pass`.
     ///
     /// When `check_releases` is false, the pass skips steps 1–2 (used by the
     /// aperiodic-arrival path, which only needs re-assignment).
@@ -163,49 +180,35 @@ impl<S: Scheduler> Microkernel<S> {
         on_proc: ProcId,
         now: Cycles,
         check_releases: bool,
-    ) -> SchedulingPass {
-        let (released, promoted) = if check_releases {
-            (self.policy.release_due(now), self.policy.promote_due(now))
+        pass: &mut SchedulingPass,
+    ) {
+        if check_releases {
+            self.policy.release_due_into(now, &mut pass.released);
+            self.policy.promote_due_into(now, &mut pass.promoted);
         } else {
-            (Vec::new(), Vec::new())
-        };
-        let desired = self.policy.assign();
-        let actions = self.policy.diff(&desired);
-        let ipis = actions.iter().filter(|a| a.proc != on_proc).count();
+            pass.released.clear();
+            pass.promoted.clear();
+        }
+        self.policy.assign_into(&mut pass.desired);
+        self.policy.diff_into(&pass.desired, &mut pass.actions);
+        let ipis = pass.actions.iter().filter(|a| a.proc != on_proc).count();
         self.stats.ipis += ipis as u64;
         self.stats.sched_passes += 1;
-        let moved = released.len() + promoted.len() + actions.len();
-        SchedulingPass {
-            released,
-            promoted,
-            actions,
-            cost: self.costs.scheduling_pass(moved, ipis),
-        }
+        let moved = pass.released.len() + pass.promoted.len() + pass.actions.len();
+        pass.cost = self.costs.scheduling_pass(moved, ipis);
     }
 
     /// Releases an aperiodic job from the peripheral ISR on `on_proc`,
-    /// returning the job, the follow-up assignment actions ("part of task A1
-    /// is executed as soon as it arrives"), and the ISR cost.
+    /// returning the job and recording in `pass` the follow-up assignment
+    /// ("part of task A1 is executed as soon as it arrives") and the ISR
+    /// cost.
     ///
     /// `arrival` is the instant the peripheral latched the event (the job's
     /// nominal release, from which its response time is measured); `now` is
     /// when the ISR runs.
-    pub fn aperiodic_isr(
-        &mut self,
-        task_index: usize,
-        on_proc: ProcId,
-        arrival: Cycles,
-        now: Cycles,
-    ) -> (JobId, SchedulingPass) {
-        let job = self.policy.release_aperiodic(task_index, arrival);
-        self.stats.aperiodic_releases += 1;
-        let mut pass = self.scheduling_pass(on_proc, now, false);
-        pass.cost = pass.cost.plus(self.costs.aperiodic_isr());
-        (job, pass)
-    }
-
-    /// Like [`Microkernel::aperiodic_isr`], but subject to the policy's
-    /// overload-degradation limit: when the policy sheds the arrival
+    ///
+    /// The release is subject to the policy's overload-degradation limit:
+    /// when the policy sheds the arrival
     /// ([`Scheduler::try_release_aperiodic`] returns `None`), the ISR
     /// acknowledges the peripheral and returns without enqueuing a job or
     /// running the re-assignment pass. The shed still pays the ISR entry
@@ -216,7 +219,8 @@ impl<S: Scheduler> Microkernel<S> {
         on_proc: ProcId,
         arrival: Cycles,
         now: Cycles,
-    ) -> (Option<JobId>, SchedulingPass) {
+        pass: &mut SchedulingPass,
+    ) -> Option<JobId> {
         #[cfg(any(test, feature = "mutation"))]
         if let Some(every) = self.isr_drop_every {
             self.isr_seq += 1;
@@ -224,35 +228,21 @@ impl<S: Scheduler> Microkernel<S> {
                 // The interrupt fired and is acknowledged (ISR entry cost
                 // paid), but the release never reaches the policy.
                 self.stats.aperiodic_shed += 1;
-                return (
-                    None,
-                    SchedulingPass {
-                        released: Vec::new(),
-                        promoted: Vec::new(),
-                        actions: Vec::new(),
-                        cost: self.costs.aperiodic_isr(),
-                    },
-                );
+                pass.set_empty(self.costs.aperiodic_isr());
+                return None;
             }
         }
         match self.policy.try_release_aperiodic(task_index, arrival) {
             Some(job) => {
                 self.stats.aperiodic_releases += 1;
-                let mut pass = self.scheduling_pass(on_proc, now, false);
+                self.scheduling_pass(on_proc, now, false, pass);
                 pass.cost = pass.cost.plus(self.costs.aperiodic_isr());
-                (Some(job), pass)
+                Some(job)
             }
             None => {
                 self.stats.aperiodic_shed += 1;
-                (
-                    None,
-                    SchedulingPass {
-                        released: Vec::new(),
-                        promoted: Vec::new(),
-                        actions: Vec::new(),
-                        cost: self.costs.aperiodic_isr(),
-                    },
-                )
+                pass.set_empty(self.costs.aperiodic_isr());
+                None
             }
         }
     }
@@ -510,10 +500,16 @@ mod tests {
         Microkernel::new(MpdpPolicy::new(table), KernelCosts::default())
     }
 
+    fn boot_pass(k: &mut Microkernel<MpdpPolicy>) -> SchedulingPass {
+        let mut pass = SchedulingPass::default();
+        k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true, &mut pass);
+        pass
+    }
+
     #[test]
     fn boot_pass_assigns_released_tasks() {
         let mut k = kernel_2cpu();
-        let pass = k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+        let pass = boot_pass(&mut k);
         assert_eq!(pass.released.len(), 2);
         assert_eq!(pass.actions.len(), 2);
         assert!(pass.cost.cpu > 0);
@@ -524,7 +520,7 @@ mod tests {
     #[test]
     fn apply_switch_round_trips_context_through_shared_memory() {
         let mut k = kernel_2cpu();
-        let pass = k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+        let pass = boot_pass(&mut k);
         for a in &pass.actions {
             k.apply_switch(a, Cycles::new(100));
         }
@@ -549,12 +545,21 @@ mod tests {
     #[test]
     fn completion_picks_next_work_locally() {
         let mut k = kernel_2cpu();
-        let pass = k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+        let pass = boot_pass(&mut k);
         for a in &pass.actions {
             k.apply_switch(a, Cycles::ZERO);
         }
         // Release an aperiodic while both processors are busy.
-        let (ap, _pass) = k.aperiodic_isr(0, ProcId::new(0), Cycles::new(10), Cycles::new(10));
+        let mut pass = SchedulingPass::default();
+        let ap = k
+            .try_aperiodic_isr(
+                0,
+                ProcId::new(0),
+                Cycles::new(10),
+                Cycles::new(10),
+                &mut pass,
+            )
+            .expect("released");
         // P0 completes its periodic job → should pick the aperiodic.
         let job = k.policy().running()[0].expect("running");
         let (record, next) = k.complete_job(ProcId::new(0), job, Cycles::new(50));
@@ -565,7 +570,7 @@ mod tests {
     #[test]
     fn switch_cost_scales_with_stack_words() {
         let mut k = kernel_2cpu();
-        let pass = k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+        let pass = boot_pass(&mut k);
         let action = &pass.actions[0];
         let cost = k.switch_cost(action);
         // Restore-only switch of a default-stack task.
@@ -579,7 +584,8 @@ mod tests {
     fn aperiodic_isr_triggers_reassignment() {
         let mut k = kernel_2cpu();
         // Boot with nothing released: processors idle.
-        let (_job, pass) = k.aperiodic_isr(0, ProcId::new(0), Cycles::ZERO, Cycles::ZERO);
+        let mut pass = SchedulingPass::default();
+        k.try_aperiodic_isr(0, ProcId::new(0), Cycles::ZERO, Cycles::ZERO, &mut pass);
         assert_eq!(pass.actions.len(), 1, "idle processor gets the aperiodic");
         assert_eq!(k.stats().aperiodic_releases, 1);
     }
@@ -596,14 +602,25 @@ mod tests {
             .with_degradation(DegradationPolicy::default().with_shed_limit(1));
         let mut k = Microkernel::new(policy, KernelCosts::default());
         // Occupy the processor so arrivals queue in the ARQ.
-        let pass = k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+        let mut pass = boot_pass(&mut k);
         for a in &pass.actions {
             k.apply_switch(a, Cycles::ZERO);
         }
-        let (first, _) = k.try_aperiodic_isr(0, ProcId::new(0), Cycles::new(10), Cycles::new(10));
+        let first = k.try_aperiodic_isr(
+            0,
+            ProcId::new(0),
+            Cycles::new(10),
+            Cycles::new(10),
+            &mut pass,
+        );
         assert!(first.is_some(), "first arrival admitted");
-        let (second, pass) =
-            k.try_aperiodic_isr(0, ProcId::new(0), Cycles::new(20), Cycles::new(20));
+        let second = k.try_aperiodic_isr(
+            0,
+            ProcId::new(0),
+            Cycles::new(20),
+            Cycles::new(20),
+            &mut pass,
+        );
         assert!(second.is_none(), "second arrival shed at the limit");
         assert!(
             pass.actions.is_empty(),
@@ -617,7 +634,7 @@ mod tests {
     #[test]
     fn migration_counter_tracks_cross_processor_moves() {
         let mut k = kernel_2cpu();
-        let pass = k.scheduling_pass(ProcId::new(0), Cycles::ZERO, true);
+        let pass = boot_pass(&mut k);
         for a in &pass.actions {
             k.apply_switch(a, Cycles::ZERO);
         }

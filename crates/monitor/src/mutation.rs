@@ -447,36 +447,31 @@ impl Scheduler for MutantPolicy {
     fn job(&self, id: JobId) -> &Job {
         self.inner.job(id)
     }
-    fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
-        self.inner.release_due(now)
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.inner.release_due_into(now, out)
     }
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId {
         self.inner.release_aperiodic(task_index, now)
     }
-    fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        let mut promoted = self.inner.promote_due(now);
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.inner.promote_due_into(now, out);
         if self.mutation == Some(Mutation::LostPromotionOnMigration) {
             // Jobs that last ran away from their design processor lose the
             // promotion: demoted back to the bottom of the low band, and
             // the caller never sees (or stamps) a promotion event.
-            let migrated: Vec<JobId> = promoted
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    let job = self.inner.job(id);
-                    match (job.last_proc, self.design_proc(job)) {
-                        (Some(last), Some(design)) => last != design,
-                        _ => false,
-                    }
-                })
-                .collect();
-            for id in &migrated {
-                self.tick_activation();
-                self.inner.demote_job(*id);
-            }
-            promoted.retain(|id| !migrated.contains(id));
+            out.retain(|&id| {
+                let job = self.inner.job(id);
+                let migrated = match (job.last_proc, self.design_proc(job)) {
+                    (Some(last), Some(design)) => last != design,
+                    _ => false,
+                };
+                if migrated {
+                    self.tick_activation();
+                    self.inner.demote_job(id);
+                }
+                !migrated
+            });
         }
-        promoted
     }
     fn next_promotion_time(&self) -> Option<Cycles> {
         self.inner.next_promotion_time()
@@ -493,10 +488,9 @@ impl Scheduler for MutantPolicy {
     fn complete(&mut self, id: JobId, now: Cycles) -> Job {
         self.inner.complete(id, now)
     }
-    fn assign(&self) -> Vec<Option<JobId>> {
-        let mut desired = self.inner.assign();
-        self.mutate_assignment(&mut desired);
-        desired
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
+        self.inner.assign_into(desired);
+        self.mutate_assignment(desired);
     }
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId> {
         let pick = self.inner.pick_for_idle(proc)?;
@@ -662,11 +656,12 @@ mod tests {
     fn observer_wrapper_is_decision_transparent() {
         let mut plain = MpdpPolicy::new(table());
         let mut wrapped = MutantPolicy::observer(MpdpPolicy::new(table()));
-        assert_eq!(
-            plain.release_due(Cycles::ZERO),
-            wrapped.release_due(Cycles::ZERO)
-        );
-        assert_eq!(plain.assign(), wrapped.assign());
+        let mut released = vec![];
+        wrapped.release_due_into(Cycles::ZERO, &mut released);
+        assert_eq!(plain.release_due(Cycles::ZERO), released);
+        let mut desired = vec![];
+        wrapped.assign_into(&mut desired);
+        assert_eq!(plain.assign(), desired);
         assert_eq!(
             plain.pick_for_idle(ProcId::new(0)),
             wrapped.pick_for_idle(ProcId::new(0))

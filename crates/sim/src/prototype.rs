@@ -24,7 +24,9 @@
 //! bus/memory contention — is explicit here and individually tunable for
 //! the ablation benches.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mpdp_core::error::TaskSetError;
 use mpdp_core::ids::{JobId, PeripheralId, ProcId, TaskId};
@@ -34,7 +36,7 @@ use mpdp_faults::CompiledFaults;
 use mpdp_hw::contention::ContentionModel;
 use mpdp_hw::timer::SystemTimer;
 use mpdp_intc::{IntcStats, InterruptSource, MpInterruptController};
-use mpdp_kernel::{KernelCost, KernelCosts, KernelStats, Microkernel};
+use mpdp_kernel::{KernelCost, KernelCosts, KernelStats, Microkernel, SchedulingPass};
 use mpdp_obs::{Bucket, EventKind, IrqKind, NullProbe, Probe, Span, SpanKind, WorkSplitter};
 
 use crate::stats::SurvivalStats;
@@ -246,6 +248,72 @@ fn rate_memo_key(rates: &[f64], key: &mut Vec<u64>) {
     key.extend(rates.iter().map(|r| (r + 0.0).to_bits()));
 }
 
+/// Word-wise multiply-rotate hasher for the rate memos. Their keys are
+/// rate vectors the simulator computes itself, never outside input, so
+/// SipHash's resistance to crafted collisions buys nothing there, while its
+/// cost is paid on most event-loop iterations (the rate vector changes on
+/// most of them).
+#[derive(Debug, Clone, Copy, Default)]
+struct RateKeyHasher(u64);
+
+impl Hasher for RateKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Memo of a pure function of the bus-rate vector, keyed by its
+/// [`rate_memo_key`] bits. Keys and values sit back to back in two flat
+/// arrays, found through a map from each key's 64-bit fingerprint, so a new
+/// entry costs only amortized growth, never an allocation of its own.
+/// Should two distinct keys share a fingerprint, the later one is simply
+/// never memoized: the value is a pure function of the key, so solving it
+/// again is bit-equal to a hit.
+#[derive(Debug, Default)]
+struct RateMemo {
+    index: HashMap<u64, usize, BuildHasherDefault<RateKeyHasher>>,
+    keys: Vec<u64>,
+    values: Vec<f64>,
+}
+
+impl RateMemo {
+    /// The `width` values memoized for `key`, if any.
+    fn get(&self, key: &[u64], width: usize) -> Option<&[f64]> {
+        let &entry = self.index.get(&fingerprint(key))?;
+        let stored = &self.keys[entry * key.len()..(entry + 1) * key.len()];
+        (stored == key).then(|| &self.values[entry * width..(entry + 1) * width])
+    }
+
+    /// Memoizes `values` for `key` unless its fingerprint is taken.
+    fn insert(&mut self, key: &[u64], values: &[f64]) {
+        let entry = self.index.len();
+        if let Entry::Vacant(slot) = self.index.entry(fingerprint(key)) {
+            slot.insert(entry);
+            self.keys.extend_from_slice(key);
+            self.values.extend_from_slice(values);
+        }
+    }
+}
+
+/// The 64-bit fingerprint [`RateMemo`] indexes a key by.
+fn fingerprint(key: &[u64]) -> u64 {
+    let mut hasher = RateKeyHasher::default();
+    for &word in key {
+        hasher.write_u64(word);
+    }
+    hasher.finish()
+}
+
 /// The prototype simulator.
 ///
 /// Generic over an observability [`Probe`]; the default [`NullProbe`]
@@ -268,7 +336,8 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     /// contention fixed point is skipped (it would converge to the same
     /// speeds). Emptied-by-construction before the first solve.
     solved_rates: Vec<f64>,
-    /// Scratch for assembling per-processor rates without reallocating.
+    /// Scratch for assembling per-processor rates without reallocating
+    /// (shared by the speed solve and burst pricing, which never nest).
     rates_scratch: Vec<f64>,
     /// Memo of solved contention fixed points, keyed by the exact bit
     /// pattern of the rate vector. Per-processor rates come from a tiny
@@ -277,19 +346,22 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     /// of times; the damped solve (up to `MAX_ITERS` rounds) runs once per
     /// distinct vector instead. The solve is a pure function of the rates,
     /// so memoized speeds are bit-equal to re-solved ones.
-    speeds_memo: HashMap<Vec<u64>, Vec<f64>>,
-    /// Scratch for the memo key (rate bits) without reallocating.
+    speeds_memo: RateMemo,
+    /// Scratch for a memo key (rate bits) without reallocating.
     key_scratch: Vec<u64>,
     /// Memo for [`Self::cost_duration`]'s queueing-delay term, keyed like
     /// `speeds_memo`: the delay is a pure function of the running-task
     /// rate vector, and those vectors repeat from the same small alphabet,
     /// so the M/D/1 fixed point behind each priced burst is usually a
     /// cache hit.
-    qd_memo: HashMap<Vec<u64>, f64>,
-    /// Scratch mirroring `rates_scratch` for the queueing-delay memo.
-    qd_scratch: Vec<f64>,
-    /// Scratch for the queueing-delay memo key.
-    qd_key_scratch: Vec<u64>,
+    qd_memo: RateMemo,
+    /// Scratch for the speeds behind a queueing-delay solve.
+    qd_speeds: Vec<f64>,
+    /// Scratch for the kernel's scheduling passes.
+    pass: SchedulingPass,
+    /// Scratch for the desired assignment the event handlers compare
+    /// against the running map.
+    desired: Vec<Option<JobId>>,
     now: Cycles,
     trace: Trace,
     /// Open trace segment per processor (tracked when segment recording or
@@ -365,11 +437,12 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             speeds: vec![1.0; n_procs],
             solved_rates: Vec::new(),
             rates_scratch: Vec::new(),
-            speeds_memo: HashMap::new(),
+            speeds_memo: RateMemo::default(),
             key_scratch: Vec::new(),
-            qd_memo: HashMap::new(),
-            qd_scratch: Vec::new(),
-            qd_key_scratch: Vec::new(),
+            qd_memo: RateMemo::default(),
+            qd_speeds: Vec::new(),
+            pass: SchedulingPass::default(),
+            desired: Vec::new(),
             now: Cycles::ZERO,
             trace: Trace::new(),
             open: vec![None; n_procs],
@@ -841,15 +914,14 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 return;
             }
             rate_memo_key(&rates, &mut self.key_scratch);
-            match self.speeds_memo.get(&self.key_scratch) {
+            match self.speeds_memo.get(&self.key_scratch, rates.len()) {
                 Some(solved) => {
                     self.speeds.clear();
                     self.speeds.extend_from_slice(solved);
                 }
                 None => {
                     self.contention.speeds_into(&rates, &mut self.speeds);
-                    self.speeds_memo
-                        .insert(self.key_scratch.clone(), self.speeds.clone());
+                    self.speeds_memo.insert(&self.key_scratch, &self.speeds);
                 }
             }
             std::mem::swap(&mut self.solved_rates, &mut rates);
@@ -880,7 +952,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             .iter()
             .filter(|a| matches!(a, Activity::Busy { .. }))
             .count() as f64;
-        let mut running_rates = std::mem::take(&mut self.qd_scratch);
+        let mut running_rates = std::mem::take(&mut self.rates_scratch);
         running_rates.clear();
         running_rates.extend((0..self.n_procs()).map(|p| match &self.activity[p] {
             Activity::Running(job) => {
@@ -891,16 +963,18 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }));
         // The delay is a pure function of the running-task rates; solve
         // once per distinct running set.
-        rate_memo_key(&running_rates, &mut self.qd_key_scratch);
-        let task_wait = match self.qd_memo.get(&self.qd_key_scratch) {
-            Some(&value) => value,
-            None => {
-                let value = self.contention.queueing_delay(&running_rates);
-                self.qd_memo.insert(self.qd_key_scratch.clone(), value);
+        rate_memo_key(&running_rates, &mut self.key_scratch);
+        let task_wait = match self.qd_memo.get(&self.key_scratch, 1) {
+            Some(&[value]) => value,
+            _ => {
+                let value = self
+                    .contention
+                    .queueing_delay(&running_rates, &mut self.qd_speeds);
+                self.qd_memo.insert(&self.key_scratch, &[value]);
                 value
             }
         };
-        self.qd_scratch = running_rates;
+        self.rates_scratch = running_rates;
         let task_wait = task_wait.min(3.0 * service);
         let per_word = service * (1.0 + other_bursts) + task_wait;
         let cycles = f64::from(cost.cpu) + f64::from(cost.bus_words) * per_word;
@@ -946,9 +1020,11 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         busy
     }
 
-    /// Emits release/promotion events for a scheduling pass's outcome.
-    fn release_events(&mut self, released: &[JobId], promoted: &[JobId]) {
-        for &j in released {
+    /// Emits release/promotion events for the outcome of the scheduling
+    /// pass in `self.pass`.
+    fn release_events(&mut self) {
+        let pass = std::mem::take(&mut self.pass);
+        for &j in &pass.released {
             let aperiodic = matches!(
                 self.kernel.policy().job(j).class,
                 JobClass::Aperiodic { .. }
@@ -964,7 +1040,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 },
             );
         }
-        for &j in promoted {
+        for &j in &pass.promoted {
             let task = self.task_of(j).as_u32();
             self.probe.event(
                 self.now,
@@ -975,6 +1051,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 },
             );
         }
+        self.pass = pass;
     }
 
     fn acknowledge(&mut self, proc: ProcId) {
@@ -1004,11 +1081,12 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }
         match sig.source {
             InterruptSource::Timer => {
-                let pass = self.kernel.scheduling_pass(proc, self.now, true);
+                self.kernel
+                    .scheduling_pass(proc, self.now, true, &mut self.pass);
                 if P::ENABLED {
-                    self.release_events(&pass.released, &pass.promoted);
+                    self.release_events();
                 }
-                let busy = self.priced_burst(proc, pass.cost);
+                let busy = self.priced_burst(proc, self.pass.cost);
                 let wait = self.acquire_sched_lock(proc, self.now + busy);
                 let until = self.now + wait + busy;
                 self.set_activity(
@@ -1042,9 +1120,13 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                     );
                     return;
                 };
-                let (job, pass) =
-                    self.kernel
-                        .try_aperiodic_isr(per.index(), proc, arrival, self.now);
+                let job = self.kernel.try_aperiodic_isr(
+                    per.index(),
+                    proc,
+                    arrival,
+                    self.now,
+                    &mut self.pass,
+                );
                 if job.is_none() {
                     // Shed under overload: acknowledge only. A deferred
                     // re-trigger (if any) gets its chance next.
@@ -1055,14 +1137,12 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                         self.intc.raise_peripheral(per, self.now);
                     }
                 }
-                for job in pass.released.iter().chain(&pass.promoted) {
-                    self.ensure_job(*job);
-                }
                 if P::ENABLED {
-                    // The aperiodic job is released by `try_aperiodic_isr`
-                    // itself, before the scheduling pass, so it is never in
-                    // `pass.released` — emit its release here or the event
-                    // stream shows completions with no matching release.
+                    // The ISR's pass only re-assigns (it neither releases
+                    // periodic jobs nor promotes), and the aperiodic job is
+                    // released by `try_aperiodic_isr` itself, so emit that
+                    // release here or the event stream shows completions
+                    // with no matching release.
                     if let Some(j) = job {
                         let task = self.task_of(j).as_u32();
                         self.probe.event(
@@ -1075,9 +1155,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                             },
                         );
                     }
-                    self.release_events(&pass.released, &pass.promoted);
                 }
-                let busy = self.priced_burst(proc, pass.cost);
+                let busy = self.priced_burst(proc, self.pass.cost);
                 let wait = self.acquire_sched_lock(proc, self.now + busy);
                 let until = self.now + wait + busy;
                 self.set_activity(
@@ -1136,19 +1215,20 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 // Recompute the assignment *now* — completions and other
                 // processors' switches may have landed during the pass — and
                 // raise IPIs for every remote processor whose task changed.
-                let desired = self.kernel.policy().assign();
-                for a in self.kernel.policy().diff(&desired) {
-                    if a.proc != proc {
-                        self.intc.raise_ipi(proc, a.proc, 0, self.now);
-                        if P::ENABLED {
-                            self.probe.event(
-                                self.now,
-                                Some(proc.as_u32()),
-                                EventKind::IpiSend {
-                                    to: a.proc.as_u32(),
-                                },
-                            );
-                        }
+                self.kernel.policy().assign_into(&mut self.desired);
+                for p in 0..self.n_procs() {
+                    let changed = self.desired[p] != self.kernel.policy().running()[p];
+                    if p == proc.index() || !changed {
+                        continue;
+                    }
+                    let to = ProcId::new(p as u32);
+                    self.intc.raise_ipi(proc, to, 0, self.now);
+                    if P::ENABLED {
+                        self.probe.event(
+                            self.now,
+                            Some(proc.as_u32()),
+                            EventKind::IpiSend { to: to.as_u32() },
+                        );
                     }
                 }
                 self.resolve_local_switch(proc, paused, in_isr);
@@ -1181,8 +1261,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
     /// current desired assignment (the IPI handler's logic, shared with the
     /// scheduling-pass epilogue).
     fn resolve_local_switch(&mut self, proc: ProcId, paused: Option<JobId>, in_isr: bool) {
-        let desired = self.kernel.policy().assign();
-        let want = desired[proc.index()];
+        self.kernel.policy().assign_into(&mut self.desired);
+        let want = self.desired[proc.index()];
         let cur = self.kernel.policy().running()[proc.index()];
         debug_assert_eq!(cur, paused);
         if want == cur {
@@ -1355,7 +1435,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         // processor it migrated from). Without this, a mid-migration
         // promoted job could wait until the next tick — violating the
         // promotion analysis.
-        let desired = self.kernel.policy().assign();
+        let mut desired = std::mem::take(&mut self.desired);
+        self.kernel.policy().assign_into(&mut desired);
         for (p, slot) in desired.iter().enumerate() {
             let proc = ProcId::new(p as u32);
             let Activity::Running(cur) = self.activity[p] else {
@@ -1378,6 +1459,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 );
             }
         }
+        self.desired = desired;
     }
 
     fn ensure_job(&mut self, job: JobId) {
@@ -1605,9 +1687,13 @@ mod tests {
         rate_memo_key(&[0.4, 0.0], &mut pos);
         rate_memo_key(&[0.4, -0.0], &mut neg);
         assert_eq!(pos, neg, "negative zero must key like positive zero");
-        let mut memo: HashMap<Vec<u64>, f64> = HashMap::new();
-        memo.insert(pos, 1.25);
-        assert_eq!(memo.get(&neg), Some(&1.25), "one entry serves both");
+        let mut memo = RateMemo::default();
+        memo.insert(&pos, &[1.25]);
+        assert_eq!(
+            memo.get(&neg, 1),
+            Some(&[1.25][..]),
+            "one entry serves both"
+        );
     }
 
     #[test]

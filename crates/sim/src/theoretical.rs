@@ -193,6 +193,10 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
     // and/or probe spans.
     let track_spans = config.record_segments || P::ENABLED;
     let mut open: Vec<Option<(JobId, TaskId, Cycles)>> = vec![None; policy.n_procs()];
+    // Scratch the scheduling passes reuse, so a pass allocates nothing.
+    let mut released = Vec::new();
+    let mut promoted = Vec::new();
+    let mut desired = Vec::new();
 
     // Fault/degradation state. `track` gates every piece of survival
     // bookkeeping so fault-free runs take the exact pre-fault code path.
@@ -544,7 +548,8 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                     }
                 }
             }
-            for job in policy.release_due(now) {
+            policy.release_due_into(now, &mut released);
+            for &job in &released {
                 let idx = job.index();
                 grow_to(&mut remaining, idx, Cycles::ZERO);
                 remaining[idx] = demand_of(&policy, job);
@@ -565,7 +570,8 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                     ledger[idx] = (remaining[idx], b, false);
                 }
             }
-            for job in policy.promote_due(now) {
+            policy.promote_due_into(now, &mut promoted);
+            for &job in &promoted {
                 if P::ENABLED {
                     probe.event(
                         now,
@@ -577,30 +583,37 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                     );
                 }
             }
-            let desired = policy.assign();
-            let actions = policy.diff(&desired);
+            policy.assign_into(&mut desired);
             // Two-phase application: processor pairs can exchange tasks
             // ("it could be possible that two processors switch each other
             // their tasks"), so every changed processor releases its job
-            // before any new assignment lands.
-            for action in &actions {
+            // before any new assignment lands. After the first phase a
+            // processor still differs from `desired` exactly when it
+            // changed and has a job to take on.
+            for (p, &want) in desired.iter().enumerate() {
+                if policy.running()[p] == want {
+                    continue;
+                }
+                let proc = ProcId::new(p as u32);
                 close_segment(
                     &mut open,
                     &mut trace,
-                    action.proc,
+                    proc,
                     now,
                     config.record_segments,
                     &mut probe,
                 );
-                policy.set_running(action.proc, None);
-            }
-            for action in &actions {
-                policy.set_running(action.proc, action.restore);
+                policy.set_running(proc, None);
                 switches += 1;
-                if let Some(j) = action.restore {
-                    let task = task_of(&policy, j);
-                    open_segment(&mut open, action.proc, j, task, now, track_spans);
-                }
+            }
+            for (p, &want) in desired.iter().enumerate() {
+                let Some(j) = want.filter(|_| policy.running()[p] != want) else {
+                    continue;
+                };
+                let proc = ProcId::new(p as u32);
+                policy.set_running(proc, Some(j));
+                let task = task_of(&policy, j);
+                open_segment(&mut open, proc, j, task, now, track_spans);
             }
             if awaiting_recovery {
                 // First scheduling pass after the fail-stop: the degraded

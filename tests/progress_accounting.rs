@@ -50,14 +50,14 @@ impl<S: Scheduler> Scheduler for Recorder<S> {
     fn job(&self, id: JobId) -> &Job {
         self.inner.job(id)
     }
-    fn release_due(&mut self, now: Cycles) -> Vec<JobId> {
-        self.inner.release_due(now)
+    fn release_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.inner.release_due_into(now, out)
     }
     fn release_aperiodic(&mut self, task_index: usize, now: Cycles) -> JobId {
         self.inner.release_aperiodic(task_index, now)
     }
-    fn promote_due(&mut self, now: Cycles) -> Vec<JobId> {
-        self.inner.promote_due(now)
+    fn promote_due_into(&mut self, now: Cycles, out: &mut Vec<JobId>) {
+        self.inner.promote_due_into(now, out)
     }
     fn next_promotion_time(&self) -> Option<Cycles> {
         self.inner.next_promotion_time()
@@ -74,8 +74,8 @@ impl<S: Scheduler> Scheduler for Recorder<S> {
     fn complete(&mut self, id: JobId, now: Cycles) -> Job {
         self.inner.complete(id, now)
     }
-    fn assign(&self) -> Vec<Option<JobId>> {
-        self.inner.assign()
+    fn assign_into(&self, desired: &mut Vec<Option<JobId>>) {
+        self.inner.assign_into(desired)
     }
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId> {
         self.inner.pick_for_idle(proc)
