@@ -25,7 +25,9 @@ use mpdp_shard::{
     parse_worker_invocation, run_worker, self_launcher, supervise_observed, SuperviseConfig,
     WorkerConfig,
 };
-use mpdp_sweep::{cells_csv, run_sweep, run_sweep_with_cache, CellCache, SweepSpec};
+use mpdp_sweep::{
+    cells_csv, execute, run_sweep, CellCache, SweepError, SweepPlan, SweepReport, SweepSpec,
+};
 use mpdp_telemetry::NullFleetObserver;
 
 /// One measured benchmark point.
@@ -75,6 +77,15 @@ fn report_json(benches: &[Bench]) -> String {
     out
 }
 
+/// One single-worker sweep of `spec` answering cells from `cache`.
+fn cached_sweep(spec: &SweepSpec, cache: &CellCache) -> Result<SweepReport, SweepError> {
+    let plan = SweepPlan {
+        cache: Some(cache),
+        ..SweepPlan::default()
+    };
+    execute(spec, 1, &plan, &NullFleetObserver, |_| {}).map(|run| run.report)
+}
+
 /// Minimum wall-clock over `repeats` single-worker sweeps of `spec`
 /// through a cell cache rooted at `dir`. Cold repeats start from an
 /// emptied directory (every cell misses, is executed, and is appended);
@@ -88,7 +99,7 @@ fn time_cached(spec: &SweepSpec, dir: &std::path::Path, repeats: usize, warm: bo
             Ok(cache) => cache,
             Err(e) => runtime_error(format_args!("cannot open cache dir: {e}")),
         };
-        if let Err(e) = run_sweep_with_cache(spec, 1, Some(&cache)) {
+        if let Err(e) = cached_sweep(spec, &cache) {
             runtime_error(format_args!("cache priming sweep failed: {e}"));
         }
     }
@@ -102,7 +113,7 @@ fn time_cached(spec: &SweepSpec, dir: &std::path::Path, repeats: usize, warm: bo
             Ok(cache) => cache,
             Err(e) => runtime_error(format_args!("cannot open cache dir: {e}")),
         };
-        let report = match run_sweep_with_cache(spec, 1, Some(&cache)) {
+        let report = match cached_sweep(spec, &cache) {
             Ok(report) => report,
             Err(e) => runtime_error(format_args!("cached sweep failed: {e}")),
         };

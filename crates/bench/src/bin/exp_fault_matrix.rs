@@ -13,11 +13,11 @@
 //!
 //! The whole grid runs through the `mpdp-sweep` engine, so `--workers N`
 //! parallelizes it without changing a single output byte. `--resume
-//! journal.mpdpj` runs it through the self-healing executor with an
-//! fsynced checkpoint journal — re-running after an interruption picks up
-//! where it stopped and still exports identical bytes. `--monitor`
-//! replays every cell through the runtime invariant monitors afterwards
-//! and exits non-zero if any MPDP invariant was violated.
+//! journal.mpdpj` gives the sweep an fsynced checkpoint journal —
+//! re-running after an interruption picks up where it stopped and still
+//! exports identical bytes. `--monitor` replays every cell through the
+//! runtime invariant monitors afterwards and exits non-zero if any MPDP
+//! invariant was violated.
 //!
 //! Run with `cargo run --release -p mpdp-bench --bin exp_fault_matrix --
 //! [--workers N] [--seeds K] [--csv out.csv] [--json out.json] [--quick]
@@ -29,9 +29,8 @@ use mpdp_bench::cli::{
     check_known_flags, flag_value, has_flag, parse_flag, runtime_error, workers_flag, write_output,
 };
 use mpdp_bench::{audit_sweep, fault_matrix_spec, INTENSITIES};
-use mpdp_sweep::{
-    cells_csv, group_summaries, report_json, run_sweep, run_sweep_healing, HealConfig,
-};
+use mpdp_sweep::{cells_csv, execute, group_summaries, report_json, SweepPlan};
+use mpdp_telemetry::NullFleetObserver;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -76,26 +75,19 @@ fn main() {
         INTENSITIES.len(),
         spec.cell_count()
     );
-    let report = match &resume {
-        Some(journal) => {
-            let mut heal = HealConfig::default().with_journal(journal);
-            if let Some(n) = max_cells {
-                heal = heal.with_max_cells(n);
+    let plan = SweepPlan {
+        journal: resume.as_ref().map(std::path::PathBuf::from),
+        max_cells,
+        ..SweepPlan::default()
+    };
+    let report = match execute(&spec, workers, &plan, &NullFleetObserver, |_| {}) {
+        Ok(run) => {
+            if let Some(journal) = resume.as_ref().filter(|_| run.resumed > 0) {
+                eprintln!("resumed {} cell(s) from {journal}", run.resumed);
             }
-            match run_sweep_healing(&spec, workers, &heal) {
-                Ok(healed) => {
-                    if healed.resumed > 0 {
-                        eprintln!("resumed {} cell(s) from {journal}", healed.resumed);
-                    }
-                    healed.report
-                }
-                Err(e) => runtime_error(format_args!("sweep failed: {e}")),
-            }
+            run.report
         }
-        None => match run_sweep(&spec, workers) {
-            Ok(report) => report,
-            Err(e) => runtime_error(format_args!("sweep failed: {e}")),
-        },
+        Err(e) => runtime_error(format_args!("sweep failed: {e}")),
     };
     eprintln!("swept {} cells in {:.2?}", report.cells.len(), report.wall);
     let groups = group_summaries(&report);

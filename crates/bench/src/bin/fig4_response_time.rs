@@ -19,15 +19,15 @@
 //! stderr; `--trace-out` writes a Chrome trace-event JSON (open in
 //! <https://ui.perfetto.dev>) of cell `--trace-cell` (default 0), captured
 //! by a probed re-run so stdout stays byte-identical to an unprobed run.
-//! `--resume` routes the sweep through the self-healing executor with an
-//! fsynced checkpoint journal, so an interrupted run resumes where it
-//! stopped with identical output bytes. `--telemetry-out` writes the
-//! `mpdp-fleet-metrics/1` JSON snapshot of an instrumented (`--shards` or
-//! `--resume`) run; `--fleet-trace` writes the Perfetto fleet timeline of
-//! a `--shards` run. `--monitor` replays every cell
-//! through the `mpdp-monitor` runtime invariant monitors and differential
-//! oracle after the sweep: violations go to stderr and the exit status
-//! turns non-zero, while stdout and every export stay byte-identical.
+//! `--resume` gives the sweep an fsynced checkpoint journal, so an
+//! interrupted run resumes where it stopped with identical output bytes.
+//! `--telemetry-out` writes the `mpdp-fleet-metrics/1` JSON snapshot of an
+//! instrumented (`--shards` or `--resume`) run; `--fleet-trace` writes the
+//! Perfetto fleet timeline of a `--shards` run. `--monitor` replays every
+//! cell through the `mpdp-monitor` runtime invariant monitors and
+//! differential oracle after the sweep: violations go to stderr and the
+//! exit status turns non-zero, while stdout and every export stay
+//! byte-identical.
 
 use mpdp_bench::audit_sweep;
 use mpdp_bench::cli::{
@@ -41,8 +41,7 @@ use mpdp_shard::{
     SuperviseConfig, WorkerConfig,
 };
 use mpdp_sweep::{
-    cells_csv, group_summaries, report_json, run_cell_probed, run_sweep,
-    run_sweep_healing_observed, spec_fingerprint, HealConfig,
+    cells_csv, execute, group_summaries, report_json, run_cell_probed, spec_fingerprint, SweepPlan,
 };
 use mpdp_telemetry::{
     fleet_trace_json, metrics_json, snapshot_from_text, validate_metrics_json, FleetRecorder,
@@ -202,33 +201,26 @@ fn main() {
             Err(e) => runtime_error(format_args!("sharded sweep failed: {e}")),
         }
     } else {
-        match &resume {
-            Some(journal) => {
-                let heal = HealConfig::default().with_journal(journal);
-                let registry = MetricsRegistry::new();
-                match run_sweep_healing_observed(&spec, workers, &heal, &registry) {
-                    Ok(healed) => {
-                        if healed.resumed > 0 {
-                            eprintln!("resumed {} cell(s) from {journal}", healed.resumed);
-                        }
-                        if let Some(path) = &telemetry_out {
-                            let json = metrics_json(&registry.snapshot());
-                            if let Err(e) = validate_metrics_json(&json) {
-                                runtime_error(format_args!(
-                                    "telemetry JSON failed validation: {e}"
-                                ));
-                            }
-                            write_output(path, &json);
-                        }
-                        healed.report
-                    }
-                    Err(e) => runtime_error(format_args!("sweep failed: {e}")),
+        let plan = SweepPlan {
+            journal: resume.as_ref().map(std::path::PathBuf::from),
+            ..SweepPlan::default()
+        };
+        let registry = MetricsRegistry::new();
+        match execute(&spec, workers, &plan, &registry, |_| {}) {
+            Ok(run) => {
+                if let Some(journal) = resume.as_ref().filter(|_| run.resumed > 0) {
+                    eprintln!("resumed {} cell(s) from {journal}", run.resumed);
                 }
+                if let Some(path) = &telemetry_out {
+                    let json = metrics_json(&registry.snapshot());
+                    if let Err(e) = validate_metrics_json(&json) {
+                        runtime_error(format_args!("telemetry JSON failed validation: {e}"));
+                    }
+                    write_output(path, &json);
+                }
+                run.report
             }
-            None => match run_sweep(&spec, workers) {
-                Ok(report) => report,
-                Err(e) => runtime_error(format_args!("sweep failed: {e}")),
-            },
+            Err(e) => runtime_error(format_args!("sweep failed: {e}")),
         }
     };
     eprintln!("swept {} cells in {:.2?}", report.cells.len(), report.wall);

@@ -2,9 +2,9 @@
 //! every completion, and bump a heartbeat file so the supervisor can tell
 //! a slow shard from a dead one.
 //!
-//! A worker is deliberately boring: it is
-//! [`run_shard_healing`](mpdp_sweep::run_shard_healing) (panic isolation,
-//! in-process retries, checkpoint journal) plus a heartbeat side channel.
+//! A worker is deliberately boring: it is the sweep executor
+//! ([`execute`]) over its cell range (panic isolation, one in-process
+//! retry, checkpoint journal) plus a heartbeat side channel.
 //! All of its crash tolerance lives in the journal — a worker that is
 //! SIGKILLed mid-cell leaves an fsynced prefix, and its replacement
 //! resumes from it. The heartbeat is advisory: failing to write it never
@@ -28,12 +28,11 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use mpdp_sweep::{
-    run_shard_healing_observed, CacheStats, CellCache, HealConfig, Journal, ShardRun, SweepError,
-    SweepSpec,
+    execute, CacheStats, CellCache, Journal, SweepError, SweepPlan, SweepRun, SweepSpec,
 };
 use mpdp_telemetry::{
     snapshot_from_text, snapshot_to_text, FleetEvent, FleetEventKind, FleetObserver,
@@ -45,8 +44,6 @@ use mpdp_telemetry::{
 pub struct WorkerConfig {
     /// Worker-pool threads inside this process.
     pub threads: usize,
-    /// In-process retry budget per cell (see [`HealConfig::retries`]).
-    pub retries: u32,
     /// Artificial pause after each completed cell. Zero in production;
     /// chaos tests use it to keep workers alive long enough to be killed
     /// mid-run deterministically.
@@ -66,7 +63,6 @@ impl Default for WorkerConfig {
     fn default() -> Self {
         WorkerConfig {
             threads: 1,
-            retries: 1,
             throttle: Duration::ZERO,
             metrics: true,
             cache_dir: None,
@@ -174,15 +170,15 @@ impl FleetObserver for PersistedMetrics<'_> {
 ///
 /// # Errors
 ///
-/// Everything [`run_shard_healing`](mpdp_sweep::run_shard_healing) can
-/// return; the journal keeps every completed cell regardless.
+/// Everything [`execute`] can return; the journal keeps every completed
+/// cell regardless.
 pub fn run_worker(
     spec: &SweepSpec,
     range: std::ops::Range<usize>,
     journal: &Path,
     heartbeat: &Path,
     cfg: &WorkerConfig,
-) -> Result<ShardRun, SweepError> {
+) -> Result<SweepRun, SweepError> {
     beat(heartbeat, 0);
     let completed = AtomicU64::new(0);
     // The cell cache is advisory end to end: an unopenable directory
@@ -190,13 +186,13 @@ pub fn run_worker(
     let cache = cfg
         .cache_dir
         .as_deref()
-        .and_then(|dir| CellCache::open(dir).ok().map(Arc::new));
-    let mut heal = HealConfig::default()
-        .with_retries(cfg.retries)
-        .with_journal(journal);
-    if let Some(cc) = &cache {
-        heal = heal.with_cache(Arc::clone(cc));
-    }
+        .and_then(|dir| CellCache::open(dir).ok());
+    let plan = SweepPlan {
+        range: Some(range),
+        journal: Some(journal.to_path_buf()),
+        cache: cache.as_ref(),
+        max_cells: None,
+    };
     let throttle = cfg.throttle;
     let progress = |_cell: usize| {
         let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
@@ -230,19 +226,12 @@ pub fn run_worker(
         let observer = PersistedMetrics {
             registry: &registry,
             path: &snapshot_path,
-            cache: cache.as_deref(),
+            cache: cache.as_ref(),
             reported: Mutex::new(CacheStats::default()),
         };
-        run_shard_healing_observed(spec, range, cfg.threads, &heal, progress, &observer)
+        execute(spec, cfg.threads, &plan, &observer, progress)
     } else {
-        run_shard_healing_observed(
-            spec,
-            range,
-            cfg.threads,
-            &heal,
-            progress,
-            &NullFleetObserver,
-        )
+        execute(spec, cfg.threads, &plan, &NullFleetObserver, progress)
     }
 }
 
@@ -268,13 +257,13 @@ mod tests {
         let heartbeat = dir.join("shard.hb");
         let run = run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
             .expect("worker completes");
-        assert_eq!((run.executed, run.resumed), (2, 0));
+        assert_eq!((run.report.cells.len(), run.resumed), (2, 0));
         let beats = std::fs::read_to_string(&heartbeat).expect("heartbeat written");
         assert_eq!(beats, "2\n", "final heartbeat is the completed count");
         // A relaunch resumes entirely from the journal.
         let rerun = run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
             .expect("relaunch resumes");
-        assert_eq!((rerun.executed, rerun.resumed), (0, 2));
+        assert_eq!((rerun.report.cells.len(), rerun.resumed), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -403,8 +392,7 @@ mod tests {
         let run = run_worker(&spec, 0..2, &warm_journal, &dir.join("warm.hb"), &cfg)
             .expect("warm worker completes");
         assert_eq!(
-            (run.executed, run.resumed),
-            (2, 0),
+            run.resumed, 0,
             "cache hits count as executed cells, not journal resumes"
         );
         let warm = snapshot_from_text(

@@ -1,28 +1,11 @@
-//! The sweep executor: fans the cell grid over a scoped-thread worker pool
-//! and produces one [`CellResult`] per cell.
-//!
-//! # Determinism contract
-//!
-//! `run_sweep(spec, 1)` and `run_sweep(spec, N)` produce **byte-identical**
-//! reports. Three properties make that hold:
-//!
-//! 1. A cell's entire input — task set, arrival stream, simulator configs —
-//!    is a pure function of `(spec, cell.index)`; its RNG stream is seeded
-//!    from [`SweepSpec::cell_stream`] and never shared across cells.
-//! 2. Workers claim cells through one atomic counter but write each result
-//!    into the slot reserved for its cell index; no result depends on
-//!    claim order.
-//! 3. Aggregation (in [`report`](crate::report)) folds cells in index
-//!    order and keeps all statistics in integer cycles until the final
-//!    formatting step (see `ResponseAccumulator`).
-//!
-//! Wall-clock time is measured for the caller's benefit but deliberately
-//! kept out of every export.
+//! The per-cell engine: everything that turns one `(spec, cell)` into a
+//! [`CellResult`] — table analysis (memoized per sweep in a
+//! [`TableCache`]), arrival generation, and both simulator stacks. The
+//! fan-out over cells lives in [`executor`](crate::executor).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,9 +25,7 @@ use mpdp_sim::theoretical::{run_theoretical_probed, TheoreticalConfig};
 use mpdp_sim::trace::Trace;
 use mpdp_workload::{automotive_task_set, random_task_set, TaskGenConfig};
 
-use crate::cache::CellCache;
 use crate::error::SweepError;
-use crate::report::{StreamingExports, StreamingReport};
 use crate::spec::{ArrivalSpec, CellSpec, Knobs, PolicyKind, SweepSpec, WorkloadSpec};
 
 /// What one simulator stack produced for one cell.
@@ -209,234 +190,6 @@ pub(crate) struct CellScratch {
     arrivals: Vec<(Cycles, usize)>,
 }
 
-/// Runs every cell of `spec` over `workers` threads (clamped to at least
-/// one) and returns the report. See the module docs for the determinism
-/// contract.
-///
-/// # Errors
-///
-/// Returns the spec's [`SweepSpec::validate`] rejection without running
-/// any cell, or the lowest-indexed cell failure (worker count never
-/// changes *which* error is reported).
-pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepReport, SweepError> {
-    run_sweep_with_cache(spec, workers, None)
-}
-
-/// [`run_sweep`] consulting a persistent [`CellCache`] before each cell:
-/// hits skip both simulators entirely, misses run and then populate the
-/// cache. A hit reconstructs the identical [`CellResult`] a cold run
-/// would produce (the payload is content-addressed by the cell's input
-/// fingerprint), so exports remain byte-identical with any mix of hits
-/// and misses. `None` is exactly [`run_sweep`].
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-pub fn run_sweep_with_cache(
-    spec: &SweepSpec,
-    workers: usize,
-    cell_cache: Option<&CellCache>,
-) -> Result<SweepReport, SweepError> {
-    type Slot = Mutex<Option<Result<(CellResult, CellProfile), SweepError>>>;
-    spec.validate()?;
-    let cells = spec.cells();
-    let start = Instant::now();
-    let slots: Vec<Slot> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let workers = workers.max(1).min(cells.len().max(1));
-    let cache = TableCache::default();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut scratch = CellScratch::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let t0 = Instant::now();
-                    let result = match cell_cache.and_then(|cc| cc.lookup(spec, cell)) {
-                        Some(hit) => Ok((
-                            hit,
-                            CellProfile {
-                                index: cell.index,
-                                wall: t0.elapsed(),
-                                // A hit simulates nothing; profiles are run
-                                // metadata and never exported, so the zero
-                                // is honest, not a determinism hazard.
-                                sim_cycles: 0,
-                                completions: 0,
-                            },
-                        )),
-                        None => run_cell_inner(
-                            spec,
-                            cell,
-                            NullProbe,
-                            NullProbe,
-                            Some(&cache),
-                            &mut scratch,
-                        )
-                        .map(|(c, _, _, horizon)| {
-                            if let Some(cc) = cell_cache {
-                                cc.insert(spec, cell, &c);
-                            }
-                            let completions = (c.theoretical.aperiodic.len()
-                                + c.theoretical.periodic.len()
-                                + c.real.aperiodic.len()
-                                + c.real.periodic.len())
-                                as u64;
-                            let profile = CellProfile {
-                                index: cell.index,
-                                wall: t0.elapsed(),
-                                sim_cycles: horizon.as_u64(),
-                                completions,
-                            };
-                            (c, profile)
-                        }),
-                    };
-                    // A poisoned slot mutex means another worker panicked
-                    // while holding it; the store below is a single
-                    // assignment, so recover the guard rather than cascade
-                    // the panic.
-                    let mut slot = slots[i].lock().unwrap_or_else(|e| e.into_inner());
-                    *slot = Some(result);
-                }
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(cells.len());
-    let mut profiles = Vec::with_capacity(cells.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(result) => {
-                let (cell, profile) = result?;
-                out.push(cell);
-                profiles.push(profile);
-            }
-            None => return Err(SweepError::MissingCell(i)),
-        }
-    }
-    Ok(SweepReport {
-        cells: out,
-        faulted: spec.is_faulted(),
-        workers,
-        wall: start.elapsed(),
-        profiles,
-    })
-}
-
-/// What [`run_sweep_streaming`] produces: the finished exports plus the
-/// run metadata [`SweepReport`] would have carried. There is no
-/// `cells` vector — per-cell results were folded into the exports and
-/// dropped as they arrived.
-#[derive(Debug, Clone)]
-pub struct StreamedSweep {
-    /// The three export documents, byte-identical to rendering a
-    /// [`SweepReport`] from the same spec.
-    pub exports: StreamingExports,
-    /// Cells executed (the full grid).
-    pub cells: usize,
-    /// Whether any knob injected faults or enforced degradation.
-    pub faulted: bool,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock duration of the fan-out (not exported).
-    pub wall: Duration,
-    /// High-water mark of the reorder buffer — the streaming path's
-    /// extra memory, in buffered cell results (bounded by how far ahead
-    /// of the slowest cell the other workers ran; O(workers) in
-    /// practice, never O(cells)).
-    pub peak_pending: usize,
-}
-
-/// [`run_sweep`] with streaming finalization: cell results are folded
-/// into the growing CSV/JSON exports **as workers finish them** (in
-/// cell-index order, via a small reorder buffer) instead of being
-/// accumulated into a `Vec<CellResult>` and rendered at the end. Memory
-/// is O(workers + open group accumulators); the exports are
-/// byte-identical to the batch path's at any worker count. Pass a
-/// [`CellCache`] to also skip cells whose inputs are already cached.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`]: the spec's validation rejection, or the
-/// lowest-indexed cell failure.
-pub fn run_sweep_streaming(
-    spec: &SweepSpec,
-    workers: usize,
-    cell_cache: Option<&CellCache>,
-) -> Result<StreamedSweep, SweepError> {
-    spec.validate()?;
-    let cells = spec.cells();
-    let start = Instant::now();
-    let next = AtomicUsize::new(0);
-    let workers = workers.max(1).min(cells.len().max(1));
-    let cache = TableCache::default();
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<CellResult, SweepError>)>();
-    let mut stream = StreamingReport::new(spec.is_faulted());
-    let mut first_error: Option<(usize, SweepError)> = None;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let (next, cache) = (&next, &cache);
-            let cells = &cells;
-            scope.spawn(move || {
-                let mut scratch = CellScratch::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else { break };
-                    let result = match cell_cache.and_then(|cc| cc.lookup(spec, cell)) {
-                        Some(hit) => Ok(hit),
-                        None => run_cell_inner(
-                            spec,
-                            cell,
-                            NullProbe,
-                            NullProbe,
-                            Some(cache),
-                            &mut scratch,
-                        )
-                        .map(|(c, _, _, _)| {
-                            if let Some(cc) = cell_cache {
-                                cc.insert(spec, cell, &c);
-                            }
-                            c
-                        }),
-                    };
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        // The fold runs on this thread, concurrently with the workers:
-        // each arriving result is consumed (exported and dropped) here.
-        for (i, result) in rx {
-            match result {
-                Ok(cell) => stream.push(cell),
-                Err(e) => {
-                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_error = Some((i, e));
-                    }
-                }
-            }
-        }
-    });
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    if stream.folded() != cells.len() {
-        return Err(SweepError::MissingCell(stream.folded()));
-    }
-    let peak_pending = stream.peak_pending();
-    Ok(StreamedSweep {
-        exports: stream.finish(),
-        cells: cells.len(),
-        faulted: spec.is_faulted(),
-        workers,
-        wall: start.elapsed(),
-        peak_pending,
-    })
-}
-
 /// Everything the observability layer captured while re-running one cell
 /// probed: one [`EventRecorder`] per stack plus the cell's horizon (the
 /// denominator of each ledger's conservation invariant).
@@ -479,29 +232,6 @@ pub fn run_cell_probed(
     ))
 }
 
-/// [`run_sweep`], then a probed re-run of cell `trace_cell` for trace
-/// export. The re-run is a pure function of `(spec, trace_cell)` — worker
-/// count cannot perturb it — so the observation obeys the same determinism
-/// contract as the report.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`], plus [`SweepError::MissingCell`] when
-/// `trace_cell` is outside the grid.
-pub fn run_sweep_traced(
-    spec: &SweepSpec,
-    workers: usize,
-    trace_cell: usize,
-) -> Result<(SweepReport, CellObservation), SweepError> {
-    let report = run_sweep(spec, workers)?;
-    let cells = spec.cells();
-    let cell = cells
-        .get(trace_cell)
-        .ok_or(SweepError::MissingCell(trace_cell))?;
-    let (_, observation) = run_cell_probed(spec, cell)?;
-    Ok((report, observation))
-}
-
 /// Runs one cell on both stacks. Public so callers can run single cells
 /// (e.g. the Figure 4 point API) through exactly the engine's code path.
 ///
@@ -520,11 +250,10 @@ pub fn run_cell(spec: &SweepSpec, cell: &CellSpec) -> Result<CellResult, SweepEr
     .map(|(c, _, _, _)| c)
 }
 
-/// [`run_cell`] sharing a sweep-scoped [`TableCache`] — the self-healing
-/// executor's runner (so resumed/retried sweeps get the same analysis
-/// memoization as the plain fan-out) and the entry point for long-lived
-/// callers like the `mpdpd` admission daemon, whose repeated queries
-/// against one `(workload, procs, knob)` coordinate hit the RTA cache.
+/// [`run_cell`] sharing a caller-owned [`TableCache`] — the entry point
+/// for long-lived callers like the `mpdpd` admission daemon, whose
+/// repeated queries against one `(workload, procs, knob)` coordinate hit
+/// the RTA cache.
 pub fn run_cell_cached(
     spec: &SweepSpec,
     cell: &CellSpec,
@@ -543,7 +272,7 @@ pub fn run_cell_cached(
 
 /// The single cell code path, generic over one probe per stack. With
 /// [`NullProbe`]s this monomorphizes to the pre-observability engine.
-fn run_cell_inner<PT: Probe, PR: Probe>(
+pub(crate) fn run_cell_inner<PT: Probe, PR: Probe>(
     spec: &SweepSpec,
     cell: &CellSpec,
     theo_probe: PT,
@@ -761,6 +490,7 @@ fn stack_result(trace: &Trace, target: TaskId) -> StackResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_sweep;
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec {
@@ -822,81 +552,6 @@ mod tests {
             .check_conservation(obs.horizon)
             .expect("prototype ledger conserves");
         assert!(obs.real.count_events("isr-enter") > 0);
-    }
-
-    #[test]
-    fn traced_sweep_observation_is_worker_independent() {
-        let spec = tiny_spec();
-        let (_, obs1) = run_sweep_traced(&spec, 1, 1).expect("valid spec");
-        let (_, obs8) = run_sweep_traced(&spec, 8, 1).expect("valid spec");
-        assert_eq!(obs1.real.events(), obs8.real.events());
-        assert_eq!(obs1.real.spans(), obs8.real.spans());
-        assert!(matches!(
-            run_sweep_traced(&spec, 1, 99),
-            Err(SweepError::MissingCell(99))
-        ));
-    }
-
-    #[test]
-    fn streaming_exports_match_batch_at_any_worker_count() {
-        let spec = tiny_spec();
-        let batch = run_sweep(&spec, 1).expect("valid spec");
-        let expected = (
-            crate::report::cells_csv(&batch),
-            crate::report::summary_csv(&batch),
-            crate::report::report_json(&batch),
-        );
-        for workers in [1usize, 8] {
-            let streamed = run_sweep_streaming(&spec, workers, None).expect("valid spec");
-            assert_eq!(streamed.cells, batch.cells.len());
-            assert_eq!(streamed.exports.cells_csv, expected.0, "workers={workers}");
-            assert_eq!(
-                streamed.exports.summary_csv, expected.1,
-                "workers={workers}"
-            );
-            assert_eq!(
-                streamed.exports.report_json, expected.2,
-                "workers={workers}"
-            );
-        }
-        let serial = run_sweep_streaming(&spec, 1, None).expect("valid spec");
-        assert_eq!(serial.peak_pending, 1, "in-order arrivals fold immediately");
-    }
-
-    #[test]
-    fn warm_cache_reruns_hit_every_cell_and_stay_byte_identical() {
-        let spec = tiny_spec();
-        let dir = std::env::temp_dir().join(format!("mpdp-engine-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let plain = run_sweep(&spec, 1).expect("valid spec");
-        let expected = crate::report::cells_csv(&plain);
-
-        let cache = CellCache::open(&dir).expect("cache opens");
-        let cold = run_sweep_with_cache(&spec, 2, Some(&cache)).expect("cold run");
-        assert_eq!(crate::report::cells_csv(&cold), expected);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.misses as usize, plain.cells.len());
-
-        let warm = run_sweep_with_cache(&spec, 2, Some(&cache)).expect("warm run");
-        assert_eq!(crate::report::cells_csv(&warm), expected);
-        let stats = cache.stats();
-        assert_eq!(
-            stats.hits as usize,
-            plain.cells.len(),
-            "warm run is all hits"
-        );
-        assert_eq!(stats.misses as usize, plain.cells.len());
-
-        // The streaming path shares the same cache and the same bytes.
-        let streamed = run_sweep_streaming(&spec, 2, Some(&cache)).expect("streamed warm");
-        assert_eq!(streamed.exports.cells_csv, expected);
-        assert_eq!(
-            cache.stats().hits as usize,
-            2 * plain.cells.len(),
-            "streamed warm run is all hits too"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

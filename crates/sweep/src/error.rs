@@ -46,29 +46,19 @@ pub enum SweepError {
         /// The simulator's diagnosis.
         source: TaskSetError,
     },
-    /// A worker abandoned a cell without producing a result (a bug in the
-    /// engine, surfaced instead of unwrapped).
-    MissingCell(usize),
-    /// A cell panicked and exhausted its retry budget (self-healing
-    /// execution only; plain [`run_sweep`](crate::run_sweep) propagates the
-    /// panic).
+    /// A cell panicked on its first attempt and again on its retry.
     CellPanicked {
         /// Canonical index of the failing cell.
         cell: usize,
         /// The panic payload, if it was a string.
         message: String,
     },
-    /// A cell overran the watchdog deadline and exhausted its retry budget.
-    CellTimedOut {
-        /// Canonical index of the failing cell.
-        cell: usize,
-    },
-    /// The run stopped before covering the grid (a cell cap was reached or
-    /// an abort was requested); completed cells are in the journal.
+    /// The run stopped before covering its range (the plan's `max_cells`
+    /// budget was spent); completed cells are in the journal.
     Interrupted {
         /// Cells completed (and journaled) before the stop.
         completed: usize,
-        /// Total cells in the grid.
+        /// Cells in the run's range.
         total: usize,
     },
     /// A shard's cell-index range does not fit the spec's grid (a stale or
@@ -112,17 +102,8 @@ impl fmt::Display for SweepError {
             SweepError::Cell { cell, source } => {
                 write!(f, "cell {cell}: {source}")
             }
-            SweepError::MissingCell(cell) => {
-                write!(f, "cell {cell} produced no result")
-            }
             SweepError::CellPanicked { cell, message } => {
                 write!(f, "cell {cell} panicked after retries: {message}")
-            }
-            SweepError::CellTimedOut { cell } => {
-                write!(
-                    f,
-                    "cell {cell} exceeded the watchdog deadline after retries"
-                )
             }
             SweepError::Interrupted { completed, total } => {
                 write!(

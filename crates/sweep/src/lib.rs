@@ -7,6 +7,7 @@
 //! worker pool, runs **both** the theoretical simulator and the prototype
 //! stack per cell, and merges the per-cell statistics into an aggregate
 //! report with percentile curves and byte-stable CSV/JSON exports.
+//! `run_sweep` is the default plan of the one executor, [`execute`].
 //!
 //! ## Determinism contract
 //!
@@ -40,13 +41,14 @@
 //! survivability columns. Both default to inert, in which case every
 //! export byte is identical to a fault-free build.
 //!
-//! ## Self-healing execution
+//! ## Plans
 //!
-//! [`run_sweep_healing`] runs the same grid with per-cell panic isolation,
-//! an optional watchdog deadline, bounded seed-preserving retries, and an
-//! fsynced checkpoint [`Journal`] — an interrupted sweep resumes where it
-//! stopped and still exports byte-identical files, because every cell is a
-//! pure function of `(spec, cell index)`.
+//! [`execute`] runs whatever a [`SweepPlan`] selects: a cell range (the
+//! whole grid, or one shard of it), an fsynced checkpoint [`Journal`], a
+//! content-addressed [`CellCache`], and a `max_cells` budget. Every cell
+//! runs under `catch_unwind` with one seed-preserving retry, and an
+//! interrupted sweep resumes from its journal with byte-identical exports,
+//! because every cell is a pure function of `(spec, cell index)`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,34 +56,26 @@
 pub mod cache;
 pub mod engine;
 pub mod error;
+pub mod executor;
 pub mod fingerprint;
 pub mod journal;
 pub mod linejournal;
 pub mod merge;
 pub mod report;
-pub mod resilient;
 pub mod shard;
 pub mod spec;
 
 pub use cache::{CacheStats, CellCache, DEFAULT_CACHE_CAP_BYTES};
 pub use engine::{
-    cell_table, run_cell, run_cell_cached, run_cell_probed, run_sweep, run_sweep_streaming,
-    run_sweep_traced, run_sweep_with_cache, CellObservation, CellProfile, CellResult, StackResult,
-    StreamedSweep, SweepReport, TableCache,
+    cell_table, run_cell, run_cell_cached, run_cell_probed, CellObservation, CellProfile,
+    CellResult, StackResult, SweepReport, TableCache,
 };
 pub use error::SweepError;
+pub use executor::{execute, execute_with, run_sweep, CellOutcome, SweepPlan, SweepRun};
 pub use fingerprint::{cell_fingerprint, spec_fingerprint, ENGINE_VERSION};
 pub use journal::Journal;
 pub use linejournal::{LineJournal, LineJournalError};
 pub use merge::{merge_journal_files, read_shard_journal, MergeError};
-pub use report::{
-    cells_csv, find_cell, group_summaries, report_json, summary_csv, GroupSummary,
-    StreamingExports, StreamingReport,
-};
-pub use resilient::{
-    run_shard_healing, run_shard_healing_observed, run_sweep_healing, run_sweep_healing_observed,
-    run_sweep_healing_with, run_sweep_healing_with_observed, CellOutcome, HealConfig, HealedSweep,
-    ShardRun,
-};
+pub use report::{cells_csv, find_cell, group_summaries, report_json, summary_csv, GroupSummary};
 pub use shard::{plan_shards, plan_spec_shards, ShardPlan};
 pub use spec::{ArrivalSpec, CellSpec, Knobs, PolicyKind, SweepSpec, WorkloadSpec};

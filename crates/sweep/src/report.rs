@@ -66,8 +66,7 @@ pub fn group_summaries(report: &SweepReport) -> Vec<GroupSummary> {
     groups
 }
 
-/// Merges one cell into the running group aggregates — the single fold
-/// step shared by [`group_summaries`] and [`StreamingReport`].
+/// Merges one cell into the running group aggregates.
 fn fold_into_groups(groups: &mut Vec<GroupSummary>, cell: &CellResult) {
     let key = (
         cell.knob_label.as_str(),
@@ -422,116 +421,6 @@ fn json_groups_tail(out: &mut String, groups: &[GroupSummary], faulted: bool) {
     out.push_str("]}");
 }
 
-/// Finished exports of a [`StreamingReport`] — the same three documents
-/// [`cells_csv`], [`summary_csv`], and [`report_json`] produce, byte for
-/// byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamingExports {
-    /// Per-cell CSV (see [`cells_csv`]).
-    pub cells_csv: String,
-    /// Group-aggregate CSV (see [`summary_csv`]).
-    pub summary_csv: String,
-    /// The full JSON document (see [`report_json`]).
-    pub report_json: String,
-}
-
-/// Streaming export finalization: folds cell results **as they arrive**
-/// into the growing CSV/JSON documents and the running group aggregates,
-/// instead of accumulating every [`CellResult`] and rendering at the end.
-///
-/// Results may be pushed in any order; a small reorder buffer (bounded by
-/// how far ahead of the lowest unfinished cell the workers run — in
-/// practice O(workers)) holds early arrivals until the next cell in index
-/// order lands, then each folded cell is **dropped**. Memory is therefore
-/// O(open accumulators + groups), not O(cells).
-///
-/// The exports are byte-identical to the batch renderers by construction:
-/// both call the same row/fragment writers, and the fold consumes cells
-/// in exactly the cell-index order the batch path iterates in.
-#[derive(Debug, Clone)]
-pub struct StreamingReport {
-    faulted: bool,
-    next_index: usize,
-    folded: usize,
-    peak_pending: usize,
-    pending: std::collections::BTreeMap<usize, CellResult>,
-    groups: Vec<GroupSummary>,
-    cells_csv: String,
-    json_cells: String,
-}
-
-impl StreamingReport {
-    /// An empty stream. `faulted` must match the spec's
-    /// [`is_faulted`](crate::SweepSpec::is_faulted) (it gates the
-    /// survivability columns, which are part of the header).
-    pub fn new(faulted: bool) -> Self {
-        StreamingReport {
-            faulted,
-            next_index: 0,
-            folded: 0,
-            peak_pending: 0,
-            pending: std::collections::BTreeMap::new(),
-            groups: Vec::new(),
-            cells_csv: cells_csv_header(faulted),
-            json_cells: String::from("{\"cells\":["),
-        }
-    }
-
-    /// Accepts one cell result, in any order. Duplicate indices are
-    /// last-write-wins while buffered; a duplicate of an already-folded
-    /// index is silently dropped (it was already exported).
-    pub fn push(&mut self, result: CellResult) {
-        if result.cell.index < self.next_index {
-            return;
-        }
-        self.pending.insert(result.cell.index, result);
-        self.peak_pending = self.peak_pending.max(self.pending.len());
-        while let Some(cell) = self.pending.remove(&self.next_index) {
-            self.fold(&cell);
-            self.next_index += 1;
-        }
-    }
-
-    fn fold(&mut self, cell: &CellResult) {
-        csv_cell_row(&mut self.cells_csv, cell, self.faulted);
-        if self.folded > 0 {
-            self.json_cells.push(',');
-        }
-        json_cell_fragment(&mut self.json_cells, cell, self.faulted);
-        fold_into_groups(&mut self.groups, cell);
-        self.folded += 1;
-    }
-
-    /// Cells folded into the exports so far.
-    pub fn folded(&self) -> usize {
-        self.folded
-    }
-
-    /// Results buffered waiting for a lower index to arrive.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// High-water mark of the reorder buffer over the stream's lifetime —
-    /// the observable bound on the streaming path's extra memory.
-    pub fn peak_pending(&self) -> usize {
-        self.peak_pending
-    }
-
-    /// Renders the group aggregates and closes the documents. Buffered
-    /// out-of-order results whose predecessors never arrived are
-    /// discarded — the exports only ever contain a gap-free index prefix.
-    pub fn finish(mut self) -> StreamingExports {
-        let summary_csv = summary_csv_from(&self.groups, self.faulted);
-        json_groups_tail(&mut self.json_cells, &self.groups, self.faulted);
-        StreamingExports {
-            cells_csv: self.cells_csv,
-            summary_csv,
-            report_json: self.json_cells,
-        }
-    }
-}
-
 /// Convenience: find one cell by grid coordinates (first match in index
 /// order).
 pub fn find_cell(report: &SweepReport, n_procs: usize, utilization: f64) -> Option<&CellResult> {
@@ -631,49 +520,6 @@ mod tests {
         assert_eq!(report_json(&r), report_json(&timed));
         assert_eq!(cells_csv(&r), cells_csv(&timed));
         assert_eq!(summary_csv(&r), summary_csv(&timed));
-    }
-
-    #[test]
-    fn streaming_exports_match_batch_bytes_even_out_of_order() {
-        for faulted in [false, true] {
-            let mut cells = vec![
-                cell(0, 0, &[100], &[150]),
-                cell(1, 1, &[200], &[250]),
-                cell(2, 0, &[300], &[350]),
-                cell(3, 1, &[400], &[450]),
-            ];
-            for c in &mut cells[2..] {
-                c.cell.n_procs = 4; // a second group
-            }
-            let mut r = report(cells.clone());
-            r.faulted = faulted;
-
-            let mut stream = StreamingReport::new(faulted);
-            for i in [2usize, 0, 3, 1] {
-                stream.push(cells[i].clone());
-            }
-            assert_eq!(stream.folded(), 4);
-            assert_eq!(stream.pending(), 0);
-            // Worst moment: {1,2,3} buffered just before 1 unblocks the drain.
-            assert_eq!(stream.peak_pending(), 3);
-            let exports = stream.finish();
-            assert_eq!(exports.cells_csv, cells_csv(&r));
-            assert_eq!(exports.summary_csv, summary_csv(&r));
-            assert_eq!(exports.report_json, report_json(&r));
-        }
-    }
-
-    #[test]
-    fn streaming_ignores_duplicates_of_folded_cells() {
-        let cells = vec![cell(0, 0, &[100], &[150]), cell(1, 1, &[200], &[250])];
-        let r = report(cells.clone());
-        let mut stream = StreamingReport::new(false);
-        stream.push(cells[0].clone());
-        stream.push(cells[0].clone()); // already folded: dropped
-        stream.push(cells[1].clone());
-        let exports = stream.finish();
-        assert_eq!(exports.cells_csv, cells_csv(&r));
-        assert_eq!(exports.report_json, report_json(&r));
     }
 
     #[test]

@@ -196,8 +196,7 @@ pub enum FleetEventKind {
         /// Failed attempts before the success (0 for first-try).
         attempts: u32,
     },
-    /// A cell attempt failed (panic or watchdog timeout) and will be
-    /// retried after `backoff`.
+    /// A cell attempt panicked and will be retried after `backoff`.
     CellRetried {
         /// Cell index in the canonical enumeration.
         cell: usize,

@@ -4,10 +4,10 @@
 //! **byte-identical** CSV and JSON to a single-process `run_sweep` of the
 //! same spec — including when every cell runs under an active fault plan.
 //!
-//! Each shard is executed through the same `run_shard_healing` path the
-//! supervised worker processes use (journal per shard, fsynced records),
-//! so this exercises the real journal write → `merge_journal_files` read
-//! round-trip, not an in-memory shortcut.
+//! Each shard is executed through the same executor plan the supervised
+//! worker processes use (a cell range and a journal per shard, fsynced
+//! records), so this exercises the real journal write →
+//! `merge_journal_files` read round-trip, not an in-memory shortcut.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,10 +16,11 @@ use std::sync::OnceLock;
 use mpdp::core::policy::{DegradationPolicy, OverrunAction};
 use mpdp::core::time::Cycles;
 use mpdp::sweep::{
-    cells_csv, merge_journal_files, report_json, run_shard_healing, run_sweep, ArrivalSpec,
-    HealConfig, Knobs, MergeError, SweepSpec, WorkloadSpec,
+    cells_csv, execute, merge_journal_files, report_json, run_sweep, ArrivalSpec, Knobs,
+    MergeError, SweepPlan, SweepSpec, WorkloadSpec,
 };
 use mpdp_faults::{FailStop, FaultPlan, WcetOverrun};
+use mpdp_telemetry::NullFleetObserver;
 use proptest::prelude::*;
 
 /// A 16-cell grid small enough to re-shard dozens of times under proptest
@@ -102,8 +103,12 @@ fn run_shards(spec: &SweepSpec, ranges: &[std::ops::Range<usize>]) -> Vec<PathBu
         .enumerate()
         .map(|(i, range)| {
             let path = dir.join(format!("shard-{i}.mpdpj"));
-            let heal = HealConfig::default().with_journal(&path);
-            run_shard_healing(spec, range.clone(), 1, &heal, |_| {}).expect("shard run completes");
+            let plan = SweepPlan {
+                range: Some(range.clone()),
+                journal: Some(path.clone()),
+                ..SweepPlan::default()
+            };
+            execute(spec, 1, &plan, &NullFleetObserver, |_| {}).expect("shard run completes");
             path
         })
         .collect()
