@@ -10,7 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
-use mpdp_obs::validate_json;
+use mpdp_obs::{parse_json, Json};
 
 /// The schema marker every readable baseline must carry.
 pub const BASELINE_SCHEMA: &str = "mpdp-bench-sweep/1";
@@ -64,53 +64,33 @@ impl fmt::Display for BaselineError {
 
 impl Error for BaselineError {}
 
-/// Extracts `(name, wall_ms)` pairs from the entry lines of a validated
-/// report body. The format is fixed (this repo writes it), so a line
-/// scanner is enough; a line that looks like a bench entry but does not
-/// parse is a typed error rather than a silently skipped gate.
-fn parse_entries(path: &str, doc: &str) -> Result<Vec<(String, f64)>, BaselineError> {
-    let schema_err = |detail: String| BaselineError::Schema {
-        path: path.to_string(),
-        detail,
-    };
-    let mut out = Vec::new();
-    for line in doc.lines() {
-        let Some(name_at) = line.find("\"name\": \"") else {
-            continue;
-        };
-        let rest = &line[name_at + 9..];
-        let Some(name_end) = rest.find('"') else {
-            return Err(schema_err(format!(
-                "malformed bench entry: {}",
-                line.trim()
-            )));
-        };
-        let name = rest[..name_end].to_string();
-        let Some(wall_at) = line.find("\"wall_ms\": ") else {
-            return Err(schema_err(format!(
-                "bench entry without wall_ms: {}",
-                line.trim()
-            )));
-        };
-        let tail = &line[wall_at + 11..];
-        let digits: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        match digits.parse::<f64>() {
-            Ok(ms) => out.push((name, ms)),
-            Err(_) => {
-                return Err(schema_err(format!(
-                    "unparsable wall_ms in entry: {}",
-                    line.trim()
-                )))
+/// Extracts `(name, wall_ms)` pairs from a parsed report: its `schema`
+/// field must equal `schema`, `benches` must be a non-empty array, and
+/// each entry must carry a string `name` and a non-negative numeric
+/// `wall_ms`. A malformed entry is a typed error rather than a silently
+/// skipped gate.
+fn parse_entries(doc: &Json, schema: &str) -> Result<Vec<(String, f64)>, String> {
+    if doc.get("schema").and_then(Json::as_str) != Some(schema) {
+        return Err(format!("missing schema marker \"{schema}\""));
+    }
+    let benches = doc
+        .get("benches")
+        .and_then(Json::as_array)
+        .filter(|b| !b.is_empty())
+        .ok_or("no bench entries")?;
+    benches
+        .iter()
+        .map(|entry| {
+            let name = entry
+                .get("name")
+                .and_then(Json::as_str)
+                .ok_or("bench entry without a string name")?;
+            match entry.get("wall_ms").and_then(Json::as_f64) {
+                Some(ms) if ms >= 0.0 => Ok((name.to_string(), ms)),
+                _ => Err(format!("bench entry {name} without a non-negative wall_ms")),
             }
-        }
-    }
-    if out.is_empty() {
-        return Err(schema_err("no bench entries".to_string()));
-    }
-    Ok(out)
+        })
+        .collect()
 }
 
 /// Loads a `BENCH_sweep.json` baseline, returning its `(name, wall_ms)`
@@ -142,19 +122,14 @@ pub fn load_baseline_with_schema(
         path: path.to_string(),
         detail: e.to_string(),
     })?;
-    if let Err(e) = validate_json(&doc) {
-        return Err(BaselineError::Invalid {
-            path: path.to_string(),
-            detail: e.to_string(),
-        });
-    }
-    if !doc.contains(&format!("\"schema\": \"{schema}\"")) {
-        return Err(BaselineError::Schema {
-            path: path.to_string(),
-            detail: format!("missing schema marker \"{schema}\""),
-        });
-    }
-    parse_entries(path, &doc)
+    let doc = parse_json(&doc).map_err(|e| BaselineError::Invalid {
+        path: path.to_string(),
+        detail: e.to_string(),
+    })?;
+    parse_entries(&doc, schema).map_err(|detail| BaselineError::Schema {
+        path: path.to_string(),
+        detail,
+    })
 }
 
 #[cfg(test)]
@@ -185,6 +160,40 @@ mod tests {
             entries,
             vec![("a".to_string(), 1.5), ("b".to_string(), 20.0)]
         );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn the_committed_baseline_loads_in_any_json_layout() {
+        let committed = include_str!("../../../BENCH_sweep.json");
+        let path = temp("committed", Some(committed));
+        let want = load_baseline(&path).expect("committed loads");
+        assert_eq!(want.len(), 5);
+        let _ = std::fs::remove_file(&path);
+        // One key per line, as `jq .` writes it.
+        let mut indented = String::new();
+        for c in committed.chars() {
+            indented.push(c);
+            if matches!(c, '{' | ',') {
+                indented.push_str("\n    ");
+            }
+        }
+        // And compacted, as `jq -c` writes it.
+        let compact: String = committed.chars().filter(|c| !c.is_whitespace()).collect();
+        for (tag, doc) in [("indented", indented), ("compact", compact)] {
+            let path = temp(tag, Some(&doc));
+            assert_eq!(load_baseline(&path), Ok(want.clone()), "{tag}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn a_deeply_nested_file_is_invalid_not_a_crash() {
+        let path = temp("nested", Some(&"[".repeat(1 << 20)));
+        assert!(matches!(
+            load_baseline(&path),
+            Err(BaselineError::Invalid { .. })
+        ));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -16,11 +16,11 @@
 use std::time::Instant;
 
 use mpdp_bench::cli::{
-    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error, write_output,
+    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error,
+    write_json_output,
 };
 use mpdp_bench::experiment::{bench104_spec, fig4_spec, ExperimentConfig};
 use mpdp_bench::load_baseline;
-use mpdp_obs::validate_json;
 use mpdp_shard::{
     parse_worker_invocation, run_worker, self_launcher, supervise_observed, SuperviseConfig,
     WorkerConfig,
@@ -323,8 +323,7 @@ fn main() {
     }
 
     let doc = report_json(&benches);
-    validate_json(&doc).expect("bench report JSON is well-formed");
-    write_output(&out_path, &doc);
+    write_json_output(&out_path, "bench report JSON", &doc);
 
     if let Some(baseline_path) = gate {
         // A missing, truncated, or schema-drifted baseline is a typed

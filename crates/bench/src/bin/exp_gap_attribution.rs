@@ -16,9 +16,9 @@
 //! l.json]`. `--quick` runs the single 2P/40% cell with one activation
 //! (CI smoke); the default runs the full 2–4P × 40/50/60% grid.
 
-use mpdp_bench::cli::{check_known_flags, flag_value, has_flag, write_output};
+use mpdp_bench::cli::{check_known_flags, flag_value, has_flag, write_json_output, write_output};
 use mpdp_bench::experiment::{fig4_spec, ExperimentConfig};
-use mpdp_obs::{chrome_trace_json_multi, ledger_csv, ledger_json, validate_json, Bucket, BUCKETS};
+use mpdp_obs::{chrome_trace_json_multi, ledger_csv, ledger_json, Bucket, BUCKETS};
 use mpdp_sweep::{run_cell_probed, CellObservation};
 
 fn main() {
@@ -146,15 +146,12 @@ fn main() {
         write_output(&path, &ledger_csv(obs.real.ledger()));
     }
     if let Some(path) = ledger_json_path {
-        let doc = ledger_json(obs.real.ledger());
-        validate_json(&doc).expect("ledger JSON is well-formed");
-        write_output(&path, &doc);
+        write_json_output(&path, "ledger JSON", &ledger_json(obs.real.ledger()));
     }
     if let Some(path) = trace_out {
         let doc =
             chrome_trace_json_multi(&[(&obs.theoretical, "theoretical"), (&obs.real, "prototype")]);
-        validate_json(&doc).expect("trace JSON is well-formed");
-        write_output(&path, &doc);
+        write_json_output(&path, "trace JSON", &doc);
         eprintln!("open {path} in https://ui.perfetto.dev");
     }
 }

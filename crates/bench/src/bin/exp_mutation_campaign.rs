@@ -31,12 +31,12 @@
 use std::process::exit;
 
 use mpdp_bench::cli::{
-    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error, write_output,
+    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error,
+    write_json_output, write_output,
 };
 use mpdp_core::time::Cycles;
 use mpdp_explore::{replay, run_campaign, CampaignOutcome, ExploreConfig, ExploreModel};
 use mpdp_monitor::Mutation;
-use mpdp_obs::json::validate_json;
 
 fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
@@ -251,11 +251,7 @@ fn main() {
     }
 
     if let Some(path) = flag_value(&args, "--json") {
-        let json = matrix_json(&outcome);
-        if let Err(e) = validate_json(&json) {
-            runtime_error(format_args!("kill-matrix JSON failed self-validation: {e}"));
-        }
-        write_output(&path, &json);
+        write_json_output(&path, "kill-matrix JSON", &matrix_json(&outcome));
     }
     if let Some(path) = flag_value(&args, "--csv") {
         write_output(&path, &matrix_csv(&outcome));

@@ -23,11 +23,11 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use mpdp_bench::cli::{
-    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error, write_output,
+    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error,
+    write_json_output,
 };
 use mpdp_bench::load_baseline_with_schema;
 use mpdp_mpdpd::Client;
-use mpdp_obs::validate_json;
 use mpdp_telemetry::Histogram;
 
 /// Schema marker of the report this binary writes and gates against.
@@ -428,8 +428,7 @@ fn main() {
     );
 
     let doc = report_json(clients, requests, &best);
-    validate_json(&doc).expect("serve report JSON is well-formed");
-    write_output(&out_path, &doc);
+    write_json_output(&out_path, "serve report JSON", &doc);
 
     if let (Some(baseline_path), Some(baseline)) = (gate, baseline) {
         let name = format!("serve_load_c{clients}");

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use mpdp_bench::cli::{check_known_flags, flag_value, write_output};
+use mpdp_bench::cli::{check_known_flags, flag_value, write_json_output};
 use mpdp_core::ids::{ProcId, TaskId};
 use mpdp_core::policy::MpdpPolicy;
 use mpdp_core::priority::Priority;
@@ -31,7 +31,7 @@ use mpdp_core::rta::{analyze, build_task_table};
 use mpdp_core::task::{AperiodicTask, PeriodicTask, TaskTable};
 use mpdp_core::time::Cycles;
 use mpdp_faults::CompiledFaults;
-use mpdp_obs::{chrome_trace_json_multi, validate_json, EventRecorder};
+use mpdp_obs::{chrome_trace_json_multi, EventRecorder};
 use mpdp_sim::gantt::render_gantt;
 use mpdp_sim::theoretical::{run_theoretical, run_theoretical_probed, TheoreticalConfig};
 
@@ -163,8 +163,7 @@ fn main() {
         )
         .unwrap();
         let doc = chrome_trace_json_multi(&[(&rec_a, "schedule-A"), (&rec_b, "schedule-B")]);
-        validate_json(&doc).expect("trace JSON is well-formed");
-        write_output(&path, &doc);
+        write_json_output(&path, "trace JSON", &doc);
         eprintln!("open {path} in https://ui.perfetto.dev");
     }
 }

@@ -32,10 +32,10 @@
 use mpdp_bench::audit_sweep;
 use mpdp_bench::cli::{
     check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error, workers_flag,
-    write_output,
+    write_json_output, write_output,
 };
 use mpdp_bench::experiment::{fig4_seeded_spec, ExperimentConfig};
-use mpdp_obs::{chrome_trace_json_multi, validate_json};
+use mpdp_obs::chrome_trace_json_multi;
 use mpdp_shard::{
     metrics_path, parse_worker_invocation, run_worker, self_launcher, supervise_observed,
     SuperviseConfig, WorkerConfig,
@@ -362,8 +362,7 @@ fn main() {
         };
         let doc =
             chrome_trace_json_multi(&[(&obs.theoretical, "theoretical"), (&obs.real, "prototype")]);
-        validate_json(&doc).expect("trace JSON is well-formed");
-        write_output(&path, &doc);
+        write_json_output(&path, "trace JSON", &doc);
         eprintln!("open {path} in https://ui.perfetto.dev");
     }
 

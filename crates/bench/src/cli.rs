@@ -97,3 +97,13 @@ pub fn write_output(path: &str, contents: &str) {
     }
     eprintln!("wrote {path}");
 }
+
+/// [`write_output`] for a JSON document this binary rendered (`what`
+/// names it): a document that does not parse is a runtime error, never
+/// written.
+pub fn write_json_output(path: &str, what: &str, doc: &str) {
+    if let Err(e) = mpdp_obs::parse_json(doc) {
+        runtime_error(format_args!("{what} failed self-validation: {e}"));
+    }
+    write_output(path, doc);
+}

@@ -195,7 +195,7 @@ fn telemetry_exports_ride_along_without_changing_a_byte() {
 
         // The fleet timeline is well-formed JSON with the chaos story on it.
         let trace = instrumented.trace_json.as_deref().expect("fleet trace");
-        mpdp_obs::validate_json(trace).expect("fleet trace is well-formed JSON");
+        mpdp_obs::parse_json(trace).expect("fleet trace is well-formed JSON");
         assert!(
             trace.contains("\"chaos-kill\""),
             "trace lacks chaos-kill instants"
@@ -376,6 +376,6 @@ fn recorded_events_replay_into_the_live_transcript_and_match_the_reports() {
 
     // And the same recorded stream renders a loadable fleet timeline.
     let trace = fleet_trace_json(&recorder.events(), sup.shards.len());
-    mpdp_obs::validate_json(&trace).expect("fleet trace is well-formed JSON");
+    mpdp_obs::parse_json(&trace).expect("fleet trace is well-formed JSON");
     assert!(trace.contains("\"chaos-kill\""));
 }

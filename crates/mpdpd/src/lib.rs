@@ -23,15 +23,17 @@
 //! * **graceful drain** — SIGTERM stops the listener, answers everything
 //!   in flight, and exits 0 (see the `mpdpd` binary's trampoline).
 //!
-//! Telemetry flows through [`mpdp_telemetry::ServeMetrics`]: request and
-//! shed counters, queue-depth peaks, and per-endpoint latency histograms,
-//! exportable in Prometheus exposition format.
+//! Request lines are read by `mpdp-obs`'s one JSON reader
+//! ([`mpdp_obs::parse_json`]); [`protocol`] adds the protocol's own rules
+//! (a flat object of strings, numbers and booleans). Telemetry flows
+//! through [`mpdp_telemetry::ServeMetrics`]: request and shed counters,
+//! queue-depth peaks, and per-endpoint latency histograms, exportable in
+//! Prometheus exposition format.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod session;

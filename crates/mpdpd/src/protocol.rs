@@ -1,11 +1,15 @@
 //! The daemon's newline-delimited JSON wire protocol.
 //!
 //! One request per line, one response line per request. Every request is a
-//! flat JSON object with an `op` field; every response echoes the request's
-//! `id` (default `0`) and carries either `"ok":true` plus op-specific
-//! fields, or `"ok":false` with a typed `error` kind and a human-readable
-//! `detail`. Responses are pure functions of the session state and the
-//! request, which is what makes the journal-replay recovery byte-exact.
+//! flat JSON object with an `op` field, read by [`mpdp_obs::parse_json`];
+//! this module adds the protocol's rules on top of the JSON grammar: the
+//! line must be an object, and its values strings, numbers or booleans
+//! (a nested container or `null` is a `bad_request`). Every response
+//! echoes the request's `id` (default `0`) and carries either `"ok":true`
+//! plus op-specific fields, or `"ok":false` with a typed `error` kind and
+//! a human-readable `detail`. Responses are pure functions of the session
+//! state and the request, which is what makes the journal-replay recovery
+//! byte-exact.
 //!
 //! The two MPDP-style service bands live here too: session-mutating
 //! operations (`open`, `admit`, `close`) are **guaranteed** — they survive
@@ -15,10 +19,8 @@
 
 use std::collections::BTreeMap;
 
-use mpdp_obs::escape_json;
+use mpdp_obs::{escape_json, parse_json, Json};
 use mpdp_telemetry::ServeEndpoint;
-
-use crate::json::{parse_flat_object, Value};
 
 /// Longest accepted session name; names match `[A-Za-z0-9_-]{1,64}`.
 pub const MAX_SESSION_NAME: usize = 64;
@@ -171,23 +173,31 @@ pub fn valid_session_name(name: &str) -> bool {
 /// recovered from the line when possible so even malformed requests get a
 /// correlated error line.
 pub fn parse_request(line: &str) -> Result<Envelope, (u64, ErrorKind, String)> {
-    let fields = match parse_flat_object(line) {
-        Ok(f) => f,
-        Err(detail) => return Err((0, ErrorKind::BadRequest, detail.to_string())),
+    let fields = match parse_json(line) {
+        Ok(Json::Obj(fields)) => fields,
+        Ok(_) => return Err((0, ErrorKind::BadRequest, "expected '{'".to_string())),
+        Err(e) => return Err((0, ErrorKind::BadRequest, e.to_string())),
     };
+    if let Some(detail) = fields.values().find_map(|value| match value {
+        Json::Null => Some("null is not part of the protocol"),
+        Json::Arr(_) | Json::Obj(_) => Some("nested containers are not part of the protocol"),
+        Json::Bool(_) | Json::Num(_) | Json::Str(_) => None,
+    }) {
+        return Err((0, ErrorKind::BadRequest, detail.to_string()));
+    }
     let id = num_field(&fields, "id").unwrap_or(0.0) as u64;
     let bad = |detail: String| (id, ErrorKind::BadRequest, detail);
 
     let op = fields
         .get("op")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or_else(|| bad("missing op".into()))?;
     let deadline_ms = num_field(&fields, "deadline_ms").map(|d| d.max(0.0) as u64);
 
-    let session = |fields: &BTreeMap<String, Value>| -> Result<String, (u64, ErrorKind, String)> {
+    let session = |fields: &BTreeMap<String, Json>| -> Result<String, (u64, ErrorKind, String)> {
         let name = fields
             .get("session")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| bad("missing session".into()))?;
         if valid_session_name(name) {
             Ok(name.to_string())
@@ -238,7 +248,7 @@ pub fn parse_request(line: &str) -> Result<Envelope, (u64, ErrorKind, String)> {
         "query" => {
             let kind = match fields
                 .get("kind")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .unwrap_or("verdict")
             {
                 "verdict" => QueryKind::Verdict,
@@ -280,8 +290,8 @@ pub fn parse_request(line: &str) -> Result<Envelope, (u64, ErrorKind, String)> {
     })
 }
 
-fn num_field(fields: &BTreeMap<String, Value>, key: &str) -> Option<f64> {
-    fields.get(key).and_then(Value::as_num)
+fn num_field(fields: &BTreeMap<String, Json>, key: &str) -> Option<f64> {
+    fields.get(key).and_then(Json::as_f64)
 }
 
 /// Formats a success response: `{"id":N,"ok":true,<body>}`. `body` is a
@@ -306,7 +316,6 @@ pub fn error_response(id: u64, kind: ErrorKind, detail: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdp_obs::validate_json;
 
     #[test]
     fn parses_every_op() {
@@ -383,10 +392,75 @@ mod tests {
             r#"{"op":"query","session":"s","kind":"at","factor":-1}"#,
             r#"{"op":"query","session":"s","kind":"wat"}"#,
             "not json at all",
+            r#"{"op":"ping","a":1e999}"#,
+            r#"{"op":"ping"} x"#,
+            // Nesting past the reader's cap, on a line as long as the
+            // daemon accepts: a typed error, not a stack overflow.
+            &"[".repeat(1 << 20),
         ] {
             let err = parse_request(line).expect_err(line);
             assert_eq!(err.1, ErrorKind::BadRequest, "{line}");
         }
+        // Every cut prefix of a good line is a typed error, never a panic.
+        let line = r#"{"op":"query","session":"x_y-9","kind":"at","factor":1.25}"#;
+        for cut in 0..line.len() {
+            let err = parse_request(&line[..cut]).expect_err(&line[..cut]);
+            assert_eq!(err.1, ErrorKind::BadRequest, "{}", &line[..cut]);
+        }
+    }
+
+    #[test]
+    fn nested_and_null_values_keep_their_protocol_details() {
+        for (line, detail) in [
+            (
+                r#"{"op":"ping","a":null}"#,
+                "null is not part of the protocol",
+            ),
+            (
+                r#"{"op":"ping","a":[1]}"#,
+                "nested containers are not part of the protocol",
+            ),
+            (
+                r#"{"op":"ping","a":{"b":1}}"#,
+                "nested containers are not part of the protocol",
+            ),
+            ("[1]", "expected '{'"),
+        ] {
+            assert_eq!(
+                parse_request(line),
+                Err((0, ErrorKind::BadRequest, detail.to_string())),
+                "{line}"
+            );
+        }
+        // Malformed JSON carries the reader's byte offset.
+        let (_, _, detail) = parse_request(r#"{"op":"ping",}"#).expect_err("trailing comma");
+        assert!(detail.contains("byte 13"), "{detail}");
+    }
+
+    #[test]
+    fn rejects_number_spellings_outside_rfc_8259() {
+        for spelling in ["02", "1.", "-.5", "1.e3", "00.5"] {
+            let line = format!(r#"{{"op":"open","session":"s","util":0.5,"procs":{spelling}}}"#);
+            let err = parse_request(&line).expect_err(&line);
+            assert_eq!(err.1, ErrorKind::BadRequest, "{line}");
+        }
+    }
+
+    #[test]
+    fn decodes_escaped_session_names_and_surrogate_pairs() {
+        let env = parse_request(r#"{"op":"close","session":"s\u002d1"}"#).expect("escaped name");
+        assert_eq!(
+            env.request,
+            Request::Close {
+                session: "s-1".into()
+            }
+        );
+        // A valid surrogate pair decodes; the non-ASCII name is then
+        // refused by session-name validation, not by the reader.
+        let (_, kind, detail) = parse_request(r#"{"op":"close","session":"\ud83d\ude00"}"#)
+            .expect_err("non-ASCII session name");
+        assert_eq!(kind, ErrorKind::BadRequest);
+        assert!(detail.starts_with("session names match"), "{detail}");
     }
 
     #[test]
@@ -406,7 +480,7 @@ mod tests {
             error_response(3, ErrorKind::Timeout, "deadline 250ms exceeded"),
             error_response(0, ErrorKind::BadRequest, "weird \"quotes\"\nand newlines"),
         ] {
-            validate_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            parse_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
     }
 }

@@ -28,7 +28,7 @@ use mpdp_analysis::is_schedulable_at;
 use mpdp_analysis::PartitionHeuristic;
 use mpdp_obs::escape_json;
 use mpdp_sweep::{run_cell_cached, SweepSpec, TableCache};
-use mpdp_telemetry::{serve_prometheus_text, ServeEvent, ServeMetrics, ServeObserver};
+use mpdp_telemetry::{serve_prometheus_text, ServeEvent, ServeMetrics};
 
 use crate::protocol::{
     error_response, ok_response, parse_request, Envelope, ErrorKind, QueryKind, Request,

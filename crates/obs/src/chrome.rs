@@ -1,12 +1,14 @@
 //! Chrome trace-event JSON export, loadable in Perfetto or `chrome://tracing`.
 //!
-//! The exporter emits the [Trace Event Format]'s JSON-object flavour:
-//! `"X"` complete events for execution spans, `"i"` instant events for the
-//! cycle-stamped scheduler events, and `"M"` metadata records naming each
-//! process (a simulator stack) and thread (a processor). Timestamps are
-//! microseconds of simulated platform time (`cycles / 50` at the paper's
-//! 50 MHz clock), formatted with fixed precision so the output is
-//! byte-deterministic.
+//! [`TraceWriter`] is the workspace's one writer of the [Trace Event
+//! Format]'s JSON-object flavour: `"M"` metadata records naming processes
+//! and threads, `"X"` complete events for spans, `"i"` instant events and
+//! `"C"` counter samples. It takes microsecond timestamps and formats them
+//! with fixed precision, so its output is byte-deterministic. Two
+//! exporters render through it: [`chrome_trace_json`] here, whose
+//! timestamps are microseconds of simulated platform time (`cycles / 50`
+//! at the paper's 50 MHz clock), and `mpdp-telemetry`'s fleet timeline,
+//! whose timestamps are wall clock.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //!
@@ -21,12 +23,109 @@ use std::fmt::Write as _;
 
 use mpdp_core::time::CLOCK_HZ;
 
-use crate::event::{EventKind, ObsEvent};
+use crate::event::EventKind;
 use crate::json::escape_json as escape;
 use crate::recorder::{EventRecorder, Span, SpanKind};
 
 /// Microseconds of platform time per cycle, as an exact ratio at 50 MHz.
 const US_PER_CYCLE: f64 = 1_000_000.0 / CLOCK_HZ as f64;
+
+/// Everything before a trace's first record.
+const HEADER: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+
+/// A Chrome trace-event JSON document under construction: one record per
+/// line inside `{"displayTimeUnit":"ms","traceEvents":[...]}`. Timestamps
+/// and durations are microseconds, printed `{:.3}`; names are escaped. A
+/// `track` is a `(pid, tid)` pair.
+#[derive(Debug, Default)]
+pub struct TraceWriter {
+    out: String,
+}
+
+impl TraceWriter {
+    /// Opens the document on the first record, separates later ones.
+    fn sep(&mut self) {
+        if self.out.is_empty() {
+            self.out.push_str(HEADER);
+        } else {
+            self.out.push(',');
+        }
+        self.out.push('\n');
+    }
+
+    /// Names process `pid`.
+    pub fn process_name(&mut self, pid: usize, name: &str) {
+        self.metadata((pid, 0), "process_name", name);
+    }
+
+    /// Names thread `tid` of process `pid`.
+    pub fn thread_name(&mut self, pid: usize, tid: usize, name: &str) {
+        self.metadata((pid, tid), "thread_name", name);
+    }
+
+    fn metadata(&mut self, (pid, tid): (usize, usize), kind: &str, name: &str) {
+        self.sep();
+        let _ = write!(
+            self.out,
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            escape(name)
+        );
+    }
+
+    /// A complete (`"X"`) span of `dur` µs starting at `ts` µs.
+    pub fn span(&mut self, (pid, tid): (usize, usize), ts: f64, dur: f64, name: &str, cat: &str) {
+        self.sep();
+        let _ = write!(
+            self.out,
+            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\"dur\":{dur:.3},\
+             \"name\":\"{}\",\"cat\":\"{cat}\"}}",
+            escape(name)
+        );
+    }
+
+    /// An instant (`"i"`) marker at `ts` µs. `scope` is `"t"` (thread) or
+    /// `"p"` (process); `args` is the already-encoded `"key":value` list
+    /// of its `args` object, possibly empty.
+    pub fn instant(
+        &mut self,
+        (pid, tid): (usize, usize),
+        scope: &str,
+        ts: f64,
+        name: &str,
+        cat: &str,
+        args: &str,
+    ) {
+        self.sep();
+        let _ = write!(
+            self.out,
+            "{{\"ph\":\"i\",\"s\":\"{scope}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
+             \"name\":\"{}\",\"cat\":\"{cat}\",\"args\":{{{args}}}}}",
+            escape(name)
+        );
+    }
+
+    /// A counter (`"C"`) sample at `ts` µs; `args` holds the series values
+    /// as an encoded `"key":value` list.
+    pub fn counter(&mut self, (pid, tid): (usize, usize), ts: f64, name: &str, args: &str) {
+        self.sep();
+        let _ = write!(
+            self.out,
+            "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
+             \"name\":\"{}\",\"args\":{{{args}}}}}",
+            escape(name)
+        );
+    }
+
+    /// Closes the document and returns it.
+    pub fn finish(mut self) -> String {
+        if self.out.is_empty() {
+            self.out.push_str(HEADER);
+        }
+        self.out.push_str("]}");
+        self.out
+    }
+}
 
 /// Renders one recorder as a complete Chrome trace JSON document.
 ///
@@ -39,57 +138,31 @@ pub fn chrome_trace_json(rec: &EventRecorder, label: &str) -> String {
 /// (pid 0, 1, ...) — e.g. the theoretical and prototype stacks of the same
 /// cell side by side.
 pub fn chrome_trace_json_multi(tracks: &[(&EventRecorder, &str)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
+    let mut w = TraceWriter::default();
     for (pid, (rec, label)) in tracks.iter().enumerate() {
-        write_metadata(&mut out, &mut first, pid, rec, label);
+        w.process_name(pid, label);
+        for proc in 0..rec.n_procs() {
+            w.thread_name(pid, proc, &format!("CPU {proc}"));
+        }
         for span in rec.spans() {
-            write_span(&mut out, &mut first, pid, span);
+            write_span(&mut w, pid, span);
         }
         for event in rec.events() {
-            write_instant(&mut out, &mut first, pid, event);
+            let ts = event.at.as_u64() as f64 * US_PER_CYCLE;
+            // "s":"t" scopes the marker to its thread; system-wide events
+            // (no processor) render process-scoped on tid 0 instead.
+            let (tid, scope) = match event.proc {
+                Some(p) => (p as usize, "t"),
+                None => (0, "p"),
+            };
+            let args = event_args(&event.kind);
+            w.instant((pid, tid), scope, ts, event.kind.name(), "sched", &args);
         }
     }
-    out.push_str("]}");
-    out
+    w.finish()
 }
 
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-    out.push('\n');
-}
-
-fn write_metadata(
-    out: &mut String,
-    first: &mut bool,
-    pid: usize,
-    rec: &EventRecorder,
-    label: &str,
-) {
-    sep(out, first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(label)
-    );
-    for proc in 0..rec.n_procs() {
-        sep(out, first);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{proc},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"CPU {proc}\"}}}}"
-        );
-    }
-}
-
-fn write_span(out: &mut String, first: &mut bool, pid: usize, span: &Span) {
-    sep(out, first);
+fn write_span(w: &mut TraceWriter, pid: usize, span: &Span) {
     let ts = span.start.as_u64() as f64 * US_PER_CYCLE;
     let dur = span.end.saturating_sub(span.start).as_u64() as f64 * US_PER_CYCLE;
     let (name, cat) = match (span.kind, span.task, span.job) {
@@ -98,33 +171,7 @@ fn write_span(out: &mut String, first: &mut bool, pid: usize, span: &Span) {
         (SpanKind::Task, _, None) => ("task".to_string(), "task"),
         (kind, _, _) => (kind.name().to_string(), "kernel"),
     };
-    let _ = write!(
-        out,
-        "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-         \"name\":\"{}\",\"cat\":\"{cat}\"}}",
-        span.proc,
-        ts,
-        dur,
-        escape(&name)
-    );
-}
-
-fn write_instant(out: &mut String, first: &mut bool, pid: usize, event: &ObsEvent) {
-    sep(out, first);
-    let ts = event.at.as_u64() as f64 * US_PER_CYCLE;
-    // "s":"t" scopes the marker to its thread; system-wide events (no
-    // processor) render process-scoped on tid 0 instead.
-    let (tid, scope) = match event.proc {
-        Some(p) => (p, "t"),
-        None => (0, "p"),
-    };
-    let _ = write!(
-        out,
-        "{{\"ph\":\"i\",\"s\":\"{scope}\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts:.3},\
-         \"name\":\"{}\",\"cat\":\"sched\",\"args\":{{{}}}}}",
-        event.kind.name(),
-        event_args(&event.kind)
-    );
+    w.span((pid, span.proc as usize), ts, dur, &name, cat);
 }
 
 /// Structured `args` payload for an instant event (already JSON-encoded
@@ -158,7 +205,7 @@ fn event_args(kind: &EventKind) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json;
+    use crate::json::parse_json;
     use crate::Probe;
     use mpdp_core::time::Cycles;
 
@@ -204,7 +251,7 @@ mod tests {
     fn emits_valid_json_with_expected_records() {
         let rec = sample();
         let json = chrome_trace_json(&rec, "prototype");
-        validate_json(&json).expect("exporter must emit well-formed JSON");
+        parse_json(&json).expect("exporter must emit well-formed JSON");
         assert!(json.contains("\"displayTimeUnit\":\"ms\""));
         assert!(json.contains("\"name\":\"prototype\""));
         assert!(json.contains("\"name\":\"CPU 1\""));
@@ -225,7 +272,7 @@ mod tests {
         let a = sample();
         let b = EventRecorder::new(1);
         let json = chrome_trace_json_multi(&[(&a, "theoretical"), (&b, "prototype")]);
-        validate_json(&json).unwrap();
+        parse_json(&json).unwrap();
         assert!(json.contains("\"pid\":0"));
         assert!(json.contains("\"pid\":1"));
         assert!(json.contains("\"name\":\"theoretical\""));

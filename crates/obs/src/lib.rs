@@ -30,6 +30,12 @@
 //!    ([`ledger_csv`], [`ledger_json`]) for the attribution tables printed
 //!    by the `exp_gap_attribution` bench binary.
 //!
+//! The crate also holds the workspace's one trace writer
+//! ([`TraceWriter`], which `mpdp-telemetry`'s fleet timeline renders
+//! through too) and its one JSON reader ([`parse_json`], which the
+//! `mpdpd` daemon, the perf gates and the metrics validator read
+//! structure through).
+//!
 //! # Example
 //!
 //! ```
@@ -55,9 +61,9 @@ pub mod ledger;
 pub mod metrics;
 pub mod recorder;
 
-pub use chrome::{chrome_trace_json, chrome_trace_json_multi};
+pub use chrome::{chrome_trace_json, chrome_trace_json_multi, TraceWriter};
 pub use event::{EventKind, IrqKind, ObsEvent};
-pub use json::{escape_json, validate_json, JsonError};
+pub use json::{escape_json, parse_json, Json, JsonError};
 pub use ledger::{Bucket, CycleLedger, LedgerImbalance, WorkSplitter, BUCKETS};
 pub use metrics::{ledger_csv, ledger_json};
 pub use recorder::{EventRecorder, Span, SpanKind};

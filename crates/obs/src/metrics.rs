@@ -94,7 +94,7 @@ fn percent(part: u64, whole: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json;
+    use crate::json::parse_json;
     use crate::ledger::Bucket;
 
     fn ledger() -> CycleLedger {
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_totals_match() {
         let json = ledger_json(&ledger());
-        validate_json(&json).expect("ledger JSON must parse");
+        parse_json(&json).expect("ledger JSON must parse");
         assert!(json.contains("\"task_work\": 700"));
         assert!(json.contains("\"overhead_pct\": 10.000"));
     }

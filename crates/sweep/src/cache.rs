@@ -46,7 +46,7 @@ use crate::engine::{CellResult, StackResult};
 use crate::error::SweepError;
 use crate::fingerprint::{cell_fingerprint, ENGINE_VERSION};
 use crate::journal::{format_stack, parse_stack};
-use crate::linejournal::{fnv1a, LineJournal};
+use crate::linejournal::{fnv1a, verify_checksum, LineJournal};
 use crate::spec::{CellSpec, SweepSpec};
 
 /// Magic + version tag of cache segment headers.
@@ -247,7 +247,9 @@ impl CellCache {
                 if !line.ends_with('\n') {
                     break; // torn tail
                 }
-                let Some((digest, entry)) = verify_and_parse(line.trim_end()) else {
+                let Some((digest, entry)) =
+                    verify_checksum(line.trim_end()).and_then(parse_cache_body)
+                else {
                     break; // corrupt record: stop, as recovery would
                 };
                 entries.insert(digest, entry);
@@ -341,19 +343,6 @@ impl CellCache {
             bytes: self.bytes.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Verifies a record line's checksum and parses its body.
-fn verify_and_parse(line: &str) -> Option<(u64, CachedCell)> {
-    let (body, crc) = line.rsplit_once(" #")?;
-    if crc.len() != 16 {
-        return None;
-    }
-    let crc = u64::from_str_radix(crc, 16).ok()?;
-    if crc != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    parse_cache_body(body)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use mpdp_sim::stats::{ResponseAccumulator, SurvivalStats};
 use crate::engine::{CellResult, StackResult};
 use crate::error::SweepError;
 use crate::fingerprint::spec_fingerprint;
-use crate::linejournal::{fnv1a, LineJournal, LineJournalError};
+use crate::linejournal::{verify_checksum, LineJournal, LineJournalError};
 use crate::spec::SweepSpec;
 
 /// Magic + version tag of the journal header line.
@@ -270,12 +270,7 @@ pub(crate) fn parse_record_with(
     spec: &SweepSpec,
     cells: &[crate::spec::CellSpec],
 ) -> Option<(usize, CellResult)> {
-    let (body, crc) = line.rsplit_once(" #")?;
-    let crc: u64 = u64::from_str_radix(crc, 16).ok()?;
-    if crc != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    parse_record_body(body, spec, cells)
+    parse_record_body(verify_checksum(line)?, spec, cells)
 }
 
 /// Parses one checksum-verified record body against a pre-enumerated cell
@@ -325,6 +320,7 @@ fn parse_record_body(
 mod tests {
     use super::*;
     use crate::engine::run_cell;
+    use crate::linejournal::fnv1a;
     use crate::spec::{ArrivalSpec, Knobs, WorkloadSpec};
     use std::fs::OpenOptions;
     use std::io::Write;

@@ -223,7 +223,9 @@ impl LineJournal {
 
 /// Splits a record line into its body, verifying the ` #<16-hex>`
 /// checksum suffix. `None` if the suffix is missing, malformed, or wrong.
-fn verify_checksum(line: &str) -> Option<&str> {
+/// The one record verifier: journal recovery, the shard merge and the
+/// cell cache all accept exactly the records it accepts.
+pub(crate) fn verify_checksum(line: &str) -> Option<&str> {
     let (body, crc) = line.rsplit_once(" #")?;
     if crc.len() != 16 {
         return None;

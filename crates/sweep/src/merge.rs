@@ -459,6 +459,44 @@ mod tests {
     }
 
     #[test]
+    fn merge_stops_where_journal_recovery_stops() {
+        // Find a real record whose checksum starts with a zero digit.
+        let mut spec = tiny_spec();
+        spec.seeds = (0..32).collect();
+        let dir = tempdir("short-checksum");
+        let path = dir.join("shard.mpdpj");
+        write_shard(&path, &spec, 0..spec.cell_count());
+        let contents = std::fs::read_to_string(&path).expect("read journal");
+        let at = contents
+            .find(" #0")
+            .expect("a checksum with a leading zero")
+            + 2;
+        let zeros = contents[at..].bytes().take_while(|&b| b == b'0').count();
+        // Strip the zeros: the value is unchanged, the 16-digit form is not.
+        let mut short = contents.clone();
+        short.replace_range(at..at + zeros, "");
+        std::fs::write(&path, &short).expect("write journal");
+
+        let merged: Vec<usize> = read_shard_journal(&path, &spec)
+            .expect("reads")
+            .into_iter()
+            .map(|(index, _)| index)
+            .collect();
+        let recovered: Vec<usize> = Journal::open(&path, &spec)
+            .expect("recovers")
+            .recovered()
+            .keys()
+            .copied()
+            .collect();
+        assert_eq!(merged, recovered);
+        assert!(
+            recovered.len() < spec.cell_count(),
+            "the short record is dropped"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn merge_propagates_spec_validation() {
         let mut spec = tiny_spec();
         spec.seeds.clear();

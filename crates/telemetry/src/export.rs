@@ -3,12 +3,13 @@
 //! byte-deterministic for a given snapshot.
 //!
 //! The JSON export carries `"schema": "mpdp-fleet-metrics/1"` and is
-//! checked with [`mpdp_obs::validate_json`] plus a required-key scan by
-//! [`validate_metrics_json`] — the same validator discipline
-//! `obs::chrome` established, so CI can prove the export parses rather
-//! than merely exists.
+//! checked by [`validate_metrics_json`], which reads it with
+//! [`mpdp_obs::parse_json`] and checks its structure, so CI can prove the
+//! export parses rather than merely exists.
 
 use std::fmt::Write as _;
+
+use mpdp_obs::{parse_json, Json};
 
 use crate::metrics::{FleetSnapshot, Histogram, LATENCY_BOUNDS_US};
 
@@ -100,26 +101,35 @@ pub fn metrics_json(snapshot: &FleetSnapshot) -> String {
     out
 }
 
-/// Checks that `input` is well-formed JSON carrying the
-/// `mpdp-fleet-metrics/1` schema tag and every required top-level
-/// section.
+/// Checks that `input` is a JSON document carrying the
+/// `mpdp-fleet-metrics/1` schema tag, `counters` and `histograms` objects
+/// and a `shards` array, with the required counters present in
+/// `counters`.
 ///
 /// # Errors
 ///
 /// A human-readable diagnosis of the first problem found.
 pub fn validate_metrics_json(input: &str) -> Result<(), String> {
-    mpdp_obs::validate_json(input).map_err(|e| e.to_string())?;
-    if !input.contains(&format!("\"schema\": \"{METRICS_SCHEMA}\"")) {
+    let doc = parse_json(input).map_err(|e| e.to_string())?;
+    if doc.get("schema").and_then(Json::as_str) != Some(METRICS_SCHEMA) {
         return Err(format!("missing schema tag {METRICS_SCHEMA:?}"));
     }
-    for key in ["\"counters\"", "\"histograms\"", "\"shards\""] {
-        if !input.contains(key) {
-            return Err(format!("missing required section {key}"));
-        }
-    }
-    for counter in ["\"launches\"", "\"chaos_kills\"", "\"retries\""] {
-        if !input.contains(counter) {
-            return Err(format!("missing required counter {counter}"));
+    let section = |key: &str| {
+        doc.get(key)
+            .ok_or(format!("missing required section {key:?}"))
+    };
+    let counters = section("counters")?
+        .as_object()
+        .ok_or("section \"counters\" is not an object")?;
+    section("histograms")?
+        .as_object()
+        .ok_or("section \"histograms\" is not an object")?;
+    section("shards")?
+        .as_array()
+        .ok_or("section \"shards\" is not an array")?;
+    for counter in ["launches", "chaos_kills", "retries"] {
+        if counters.get(counter).and_then(Json::as_f64).is_none() {
+            return Err(format!("missing required counter {counter:?}"));
         }
     }
     Ok(())
@@ -204,25 +214,36 @@ pub fn prometheus_text(snapshot: &FleetSnapshot) -> String {
     }
     for (name, hist) in snapshot.histograms() {
         let _ = writeln!(out, "# TYPE mpdp_fleet_{name} histogram");
-        let mut cumulative = 0u64;
-        for (bucket, count) in hist.bucket_counts().iter().enumerate() {
-            cumulative += count;
-            match LATENCY_BOUNDS_US.get(bucket) {
-                Some(bound) => {
-                    let _ = writeln!(
-                        out,
-                        "mpdp_fleet_{name}_bucket{{le=\"{bound}\"}} {cumulative}"
-                    );
-                }
-                None => {
-                    let _ = writeln!(out, "mpdp_fleet_{name}_bucket{{le=\"+Inf\"}} {cumulative}");
-                }
-            }
-        }
-        let _ = writeln!(out, "mpdp_fleet_{name}_sum {}", hist.sum_us());
-        let _ = writeln!(out, "mpdp_fleet_{name}_count {}", hist.count());
+        prometheus_histogram(&mut out, &format!("mpdp_fleet_{name}"), "", hist);
     }
     out
+}
+
+/// Appends one histogram's Prometheus series: cumulative
+/// `<family>_bucket{<label>,le="..."}` lines, then `<family>_sum` and
+/// `<family>_count`. `label` is one `key="value"` pair, or empty.
+pub(crate) fn prometheus_histogram(out: &mut String, family: &str, label: &str, hist: &Histogram) {
+    let (bucket_label, series_labels) = if label.is_empty() {
+        (String::new(), String::new())
+    } else {
+        (format!("{label},"), format!("{{{label}}}"))
+    };
+    let mut cumulative = 0u64;
+    for (bucket, count) in hist.bucket_counts().iter().enumerate() {
+        cumulative += count;
+        let _ = match LATENCY_BOUNDS_US.get(bucket) {
+            Some(bound) => writeln!(
+                out,
+                "{family}_bucket{{{bucket_label}le=\"{bound}\"}} {cumulative}"
+            ),
+            None => writeln!(
+                out,
+                "{family}_bucket{{{bucket_label}le=\"+Inf\"}} {cumulative}"
+            ),
+        };
+    }
+    let _ = writeln!(out, "{family}_sum{series_labels} {}", hist.sum_us());
+    let _ = writeln!(out, "{family}_count{series_labels} {}", hist.count());
 }
 
 #[cfg(test)]
@@ -294,6 +315,33 @@ mod tests {
     fn validator_rejects_missing_schema_or_bad_json() {
         assert!(validate_metrics_json("{").is_err());
         assert!(validate_metrics_json("{}").is_err(), "no schema tag");
+    }
+
+    #[test]
+    fn validator_checks_structure_not_substrings() {
+        // Every required counter name occurs in the shard entry, but the
+        // counters section itself is empty.
+        let doc = r#"{"schema": "mpdp-fleet-metrics/1", "counters": {}, "histograms": {}, "shards": [{"shard": 0, "launches": 1, "relaunches": 0, "retries": 0, "chaos_kills": 0, "journaled": 0, "done": true}]}"#;
+        let err = validate_metrics_json(doc).expect_err("empty counters");
+        assert!(err.contains("launches"), "{err}");
+        // Any layout of a valid document validates.
+        let compact: String = metrics_json(&sample())
+            .lines()
+            .map(str::trim)
+            .collect::<Vec<_>>()
+            .join("");
+        validate_metrics_json(&compact).expect("compacted export validates");
+        let shards_object = r#"{"schema": "mpdp-fleet-metrics/1", "counters": {"launches": 1, "chaos_kills": 0, "retries": 0}, "histograms": {}, "shards": {}}"#;
+        let err = validate_metrics_json(shards_object).expect_err("shards must be an array");
+        assert!(err.contains("shards"), "{err}");
+    }
+
+    #[test]
+    fn prometheus_text_matches_the_pinned_rendering() {
+        assert_eq!(
+            prometheus_text(&sample()),
+            include_str!("../tests/golden/fleet_prometheus.txt")
+        );
     }
 
     #[test]

@@ -26,9 +26,12 @@
 //!   transcript replay.
 //!
 //! Exporters: [`prometheus_text`] (text exposition),
-//! [`metrics_json`]/[`metrics_csv`] (schema-stamped snapshots validated
-//! with [`mpdp_obs::validate_json`]), [`fleet_trace_json`] (Chrome Trace
-//! Event Format, loadable at <https://ui.perfetto.dev>).
+//! [`metrics_json`]/[`metrics_csv`] (schema-stamped snapshots whose
+//! structure [`validate_metrics_json`] checks through
+//! [`mpdp_obs::parse_json`]), [`fleet_trace_json`] (Chrome Trace Event
+//! Format through `mpdp-obs`'s one trace writer, loadable at
+//! <https://ui.perfetto.dev>). [`ServeMetrics`] is the `mpdpd` daemon's
+//! request-lifecycle registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,10 +52,7 @@ pub use metrics::{
 };
 pub use perfetto::fleet_trace_json;
 pub use recorder::FleetRecorder;
-pub use serve::{
-    serve_prometheus_text, NullServeObserver, ServeEndpoint, ServeEvent, ServeMetrics,
-    ServeObserver, ServeSnapshot,
-};
+pub use serve::{serve_prometheus_text, ServeEndpoint, ServeEvent, ServeMetrics, ServeSnapshot};
 pub use transcript::TranscriptObserver;
 
 /// A sink for [`FleetEvent`]s.

@@ -14,60 +14,17 @@
 //!
 //! Timestamps are microseconds since the run started, straight from
 //! [`FleetEvent::at`] — wall clock, unlike `obs::chrome`'s simulated
-//! cycles.
+//! cycles. Records are written by `obs::chrome`'s [`TraceWriter`], the
+//! workspace's one trace writer.
 //!
 //! [`ShardLaunched`]: FleetEventKind::ShardLaunched
 
-use std::fmt::Write as _;
-
-use mpdp_obs::escape_json as escape;
+use mpdp_obs::{escape_json as escape, TraceWriter};
 
 use crate::event::{FleetEvent, FleetEventKind};
 
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-    out.push('\n');
-}
-
 fn us(at: std::time::Duration) -> f64 {
     at.as_secs_f64() * 1_000_000.0
-}
-
-fn write_instant(out: &mut String, first: &mut bool, tid: usize, at: f64, name: &str, args: &str) {
-    sep(out, first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"i\",\"pid\":0,\"tid\":{tid},\"ts\":{at:.3},\"s\":\"t\",\
-         \"name\":\"{}\",\"cat\":\"fleet\"",
-        escape(name)
-    );
-    if !args.is_empty() {
-        let _ = write!(out, ",\"args\":{{{args}}}");
-    }
-    out.push('}');
-}
-
-fn write_span(
-    out: &mut String,
-    first: &mut bool,
-    tid: usize,
-    start: f64,
-    end: f64,
-    name: &str,
-    cat: &str,
-) {
-    sep(out, first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{start:.3},\"dur\":{:.3},\
-         \"name\":\"{}\",\"cat\":\"{cat}\"}}",
-        (end - start).max(0.0),
-        escape(name)
-    );
 }
 
 /// An open launch-attempt span on one shard track.
@@ -76,37 +33,33 @@ struct OpenLaunch {
     launch: u32,
 }
 
+/// Closes a launch-attempt span (if one is open) at `end`.
+fn close_launch(w: &mut TraceWriter, tid: usize, launch: Option<OpenLaunch>, end: f64) {
+    if let Some(launch) = launch {
+        let name = format!("launch {}", launch.launch);
+        w.span(
+            (0, tid),
+            launch.start,
+            (end - launch.start).max(0.0),
+            &name,
+            "launch",
+        );
+    }
+}
+
 /// Renders a recorded fleet event stream as a complete Chrome trace JSON
 /// document. `shards` sizes the track layout (the supervisor track sits
 /// at tid = `shards`); events for shard indices at or beyond `shards`
 /// are clamped onto the supervisor track rather than dropped.
 pub fn fleet_trace_json(events: &[FleetEvent], shards: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-
-    sep(&mut out, &mut first);
-    out.push_str(
-        "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"mpdp fleet\"}}",
-    );
+    let mut w = TraceWriter::default();
+    w.process_name(0, "mpdp fleet");
     for shard in 0..shards {
-        sep(&mut out, &mut first);
-        let _ = write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":0,\"tid\":{shard},\"name\":\"thread_name\",\
-             \"args\":{{\"name\":\"shard {shard}\"}}}}"
-        );
+        w.thread_name(0, shard, &format!("shard {shard}"));
     }
-    sep(&mut out, &mut first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"pid\":0,\"tid\":{shards},\"name\":\"thread_name\",\
-         \"args\":{{\"name\":\"supervisor\"}}}}"
-    );
+    w.thread_name(0, shards, "supervisor");
 
     let supervisor_tid = shards;
-    let tid_of = |shard: Option<usize>| shard.filter(|s| *s < shards).unwrap_or(supervisor_tid);
     let mut open: Vec<Option<OpenLaunch>> = (0..shards).map(|_| None).collect();
     let mut merge_start: Option<f64> = None;
     let mut last_ts = 0.0f64;
@@ -114,167 +67,81 @@ pub fn fleet_trace_json(events: &[FleetEvent], shards: usize) -> String {
     for event in events {
         let at = us(event.at);
         last_ts = last_ts.max(at);
-        let tid = tid_of(event.shard);
         let slot = event.shard.filter(|s| *s < shards);
-        match &event.kind {
+        let tid = slot.unwrap_or(supervisor_tid);
+        // A new launch, a reaped or retried worker, a dead shard and a
+        // finished shard all end the shard's open launch span. (A spawn
+        // that failed before producing a process never opened one.)
+        if let Some(s) = slot {
+            if matches!(
+                event.kind,
+                FleetEventKind::ShardLaunched { .. }
+                    | FleetEventKind::ChaosReaped
+                    | FleetEventKind::Retry { .. }
+                    | FleetEventKind::RetriesExhausted { .. }
+                    | FleetEventKind::ShardDone { .. }
+            ) {
+                close_launch(&mut w, tid, open[s].take(), at);
+            }
+        }
+        let (name, args): (String, String) = match &event.kind {
             FleetEventKind::ShardLaunched { pid, launch, .. } => {
                 if let Some(s) = slot {
-                    // A spawn that failed before producing a process never
-                    // opened a span; a crash reaped in the same poll as the
-                    // relaunch closes below. Close any leftover defensively.
-                    if let Some(prev) = open[s].take() {
-                        write_span(
-                            &mut out,
-                            &mut first,
-                            tid,
-                            prev.start,
-                            at,
-                            &format!("launch {}", prev.launch),
-                            "launch",
-                        );
-                    }
                     open[s] = Some(OpenLaunch {
                         start: at,
                         launch: *launch,
                     });
                 }
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "launched",
-                    &format!("\"pid\":{pid},\"launch\":{launch}"),
-                );
+                (
+                    "launched".into(),
+                    format!("\"pid\":{pid},\"launch\":{launch}"),
+                )
             }
             FleetEventKind::Heartbeat { journaled } => {
-                sep(&mut out, &mut first);
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\"ts\":{at:.3},\
-                     \"name\":\"journaled shard {}\",\"args\":{{\"cells\":{journaled}}}}}",
-                    event.shard.unwrap_or(0)
-                );
+                let name = format!("journaled shard {}", event.shard.unwrap_or(0));
+                w.counter((0, tid), at, &name, &format!("\"cells\":{journaled}"));
+                continue;
             }
-            FleetEventKind::Stalled { timeout } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "stall",
-                    &format!("\"timeout_ms\":{}", timeout.as_millis()),
-                );
-            }
+            FleetEventKind::Stalled { timeout } => (
+                "stall".into(),
+                format!("\"timeout_ms\":{}", timeout.as_millis()),
+            ),
             FleetEventKind::ChaosKill {
                 journaled,
                 threshold,
-            } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "chaos-kill",
-                    &format!("\"journaled\":{journaled},\"threshold\":{threshold}"),
-                );
-            }
+            } => (
+                "chaos-kill".into(),
+                format!("\"journaled\":{journaled},\"threshold\":{threshold}"),
+            ),
             FleetEventKind::ChaosSkipped { remaining } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "chaos-skipped",
-                    &format!("\"remaining\":{remaining}"),
-                );
+                ("chaos-skipped".into(), format!("\"remaining\":{remaining}"))
             }
-            FleetEventKind::JournalTear => {
-                write_instant(&mut out, &mut first, tid, at, "journal-tear", "");
+            FleetEventKind::JournalTear => ("journal-tear".into(), String::new()),
+            FleetEventKind::ChaosReaped => continue,
+            FleetEventKind::Retry { failure, backoff } => (
+                "retry".into(),
+                format!(
+                    "\"failure\":\"{}\",\"backoff_ms\":{}",
+                    escape(&failure.to_string()),
+                    backoff.as_millis()
+                ),
+            ),
+            FleetEventKind::RetriesExhausted { failure, launches } => (
+                "dead".into(),
+                format!(
+                    "\"failure\":\"{}\",\"launches\":{launches}",
+                    escape(&failure.to_string())
+                ),
+            ),
+            FleetEventKind::Resumed { cells } => ("resumed".into(), format!("\"cells\":{cells}")),
+            FleetEventKind::ShardDone { cells, launches } => (
+                "done".into(),
+                format!("\"cells\":{cells},\"launches\":{launches}"),
+            ),
+            FleetEventKind::MergeStarted { .. } => {
+                merge_start = Some(at);
+                continue;
             }
-            FleetEventKind::ChaosReaped | FleetEventKind::Retry { .. } => {
-                if let Some(launch) = slot.and_then(|s| open[s].take()) {
-                    write_span(
-                        &mut out,
-                        &mut first,
-                        tid,
-                        launch.start,
-                        at,
-                        &format!("launch {}", launch.launch),
-                        "launch",
-                    );
-                }
-                if let FleetEventKind::Retry { failure, backoff } = &event.kind {
-                    write_instant(
-                        &mut out,
-                        &mut first,
-                        tid,
-                        at,
-                        "retry",
-                        &format!(
-                            "\"failure\":\"{}\",\"backoff_ms\":{}",
-                            escape(&failure.to_string()),
-                            backoff.as_millis()
-                        ),
-                    );
-                }
-            }
-            FleetEventKind::RetriesExhausted { failure, launches } => {
-                if let Some(launch) = slot.and_then(|s| open[s].take()) {
-                    write_span(
-                        &mut out,
-                        &mut first,
-                        tid,
-                        launch.start,
-                        at,
-                        &format!("launch {}", launch.launch),
-                        "launch",
-                    );
-                }
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "dead",
-                    &format!(
-                        "\"failure\":\"{}\",\"launches\":{launches}",
-                        escape(&failure.to_string())
-                    ),
-                );
-            }
-            FleetEventKind::Resumed { cells } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "resumed",
-                    &format!("\"cells\":{cells}"),
-                );
-            }
-            FleetEventKind::ShardDone { cells, launches } => {
-                if let Some(launch) = slot.and_then(|s| open[s].take()) {
-                    write_span(
-                        &mut out,
-                        &mut first,
-                        tid,
-                        launch.start,
-                        at,
-                        &format!("launch {}", launch.launch),
-                        "launch",
-                    );
-                }
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "done",
-                    &format!("\"cells\":{cells},\"launches\":{launches}"),
-                );
-            }
-            FleetEventKind::MergeStarted { .. } => merge_start = Some(at),
             FleetEventKind::MergeDone {
                 journals,
                 cells,
@@ -282,108 +149,63 @@ pub fn fleet_trace_json(events: &[FleetEvent], shards: usize) -> String {
                 torn,
             } => {
                 let start = merge_start.take().unwrap_or(at);
-                write_span(
-                    &mut out,
-                    &mut first,
-                    supervisor_tid,
+                w.span(
+                    (0, supervisor_tid),
                     start,
-                    at,
+                    (at - start).max(0.0),
                     "merge",
                     "merge",
                 );
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    supervisor_tid,
-                    at,
-                    "merged",
-                    &format!(
-                        "\"journals\":{journals},\"cells\":{cells},\
-                         \"chaos_kills\":{chaos_kills},\"torn\":{torn}"
-                    ),
+                let args = format!(
+                    "\"journals\":{journals},\"cells\":{cells},\
+                     \"chaos_kills\":{chaos_kills},\"torn\":{torn}"
                 );
+                w.instant((0, supervisor_tid), "t", at, "merged", "fleet", &args);
+                continue;
             }
             FleetEventKind::CellDone {
                 cell,
                 wall,
                 attempts,
-            } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    &format!("cell {cell}"),
-                    &format!("\"wall_us\":{},\"attempts\":{attempts}", wall.as_micros()),
-                );
-            }
-            FleetEventKind::CellRetried { cell, backoff } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    &format!("cell {cell} retry"),
-                    &format!("\"backoff_ms\":{}", backoff.as_millis()),
-                );
-            }
-            FleetEventKind::CellResumed { cell } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    &format!("cell {cell} resumed"),
-                    "",
-                );
-            }
+            } => (
+                format!("cell {cell}"),
+                format!("\"wall_us\":{},\"attempts\":{attempts}", wall.as_micros()),
+            ),
+            FleetEventKind::CellRetried { cell, backoff } => (
+                format!("cell {cell} retry"),
+                format!("\"backoff_ms\":{}", backoff.as_millis()),
+            ),
+            FleetEventKind::CellResumed { cell } => (format!("cell {cell} resumed"), String::new()),
             FleetEventKind::CacheReport {
                 hits,
                 misses,
                 evictions,
                 bytes,
-            } => {
-                write_instant(
-                    &mut out,
-                    &mut first,
-                    tid,
-                    at,
-                    "cache report",
-                    &format!(
-                        "\"hits\":{hits},\"misses\":{misses},\
-                         \"evictions\":{evictions},\"bytes\":{bytes}"
-                    ),
-                );
-            }
-        }
+            } => (
+                "cache report".into(),
+                format!(
+                    "\"hits\":{hits},\"misses\":{misses},\
+                     \"evictions\":{evictions},\"bytes\":{bytes}"
+                ),
+            ),
+        };
+        w.instant((0, tid), "t", at, &name, "fleet", &args);
     }
 
     // A run that ended mid-flight (killed supervisor, recorded stream cut
     // short) may leave launch spans open; close them at the last
     // timestamp so the trace still loads.
     for (shard, launch) in open.into_iter().enumerate() {
-        if let Some(launch) = launch {
-            write_span(
-                &mut out,
-                &mut first,
-                shard,
-                launch.start,
-                last_ts,
-                &format!("launch {}", launch.launch),
-                "launch",
-            );
-        }
+        close_launch(&mut w, shard, launch, last_ts);
     }
-
-    out.push_str("]}");
-    out
+    w.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::FailureKind;
-    use mpdp_obs::validate_json;
+    use mpdp_obs::parse_json;
     use std::time::Duration;
 
     fn ev(ms: u64, shard: Option<usize>, kind: FleetEventKind) -> FleetEvent {
@@ -453,7 +275,7 @@ mod tests {
     #[test]
     fn trace_is_valid_json_with_fleet_track_layout() {
         let json = fleet_trace_json(&chaos_stream(), 1);
-        validate_json(&json).expect("trace parses");
+        parse_json(&json).expect("trace parses");
         assert!(json.contains("\"name\":\"mpdp fleet\""));
         assert!(json.contains("\"name\":\"shard 0\""));
         assert!(json.contains("\"name\":\"supervisor\""));
@@ -488,7 +310,7 @@ mod tests {
             ),
         ];
         let json = fleet_trace_json(&events, 1);
-        validate_json(&json).expect("trace parses");
+        parse_json(&json).expect("trace parses");
         assert!(json.contains("\"name\":\"retry\""));
         assert!(json.contains("worker killed by signal 9"));
         assert!(json.contains("\"dur\":4000.000"), "span closed at 4 ms");
@@ -507,7 +329,7 @@ mod tests {
             },
         )];
         let json = fleet_trace_json(&events, 1);
-        validate_json(&json).expect("trace parses");
+        parse_json(&json).expect("trace parses");
         assert!(json.contains("\"name\":\"launch 1\""), "open span closed");
     }
 

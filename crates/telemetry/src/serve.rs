@@ -1,12 +1,12 @@
 //! Service-side telemetry for the `mpdpd` admission daemon: typed
-//! request-lifecycle events folded into a mergeable snapshot, mirroring
-//! the fleet pattern ([`FleetObserver`](crate::FleetObserver) /
-//! [`MetricsRegistry`](crate::MetricsRegistry)) one layer up the stack.
+//! request-lifecycle events folded into a mergeable snapshot, the
+//! service-level counterpart of the fleet's
+//! [`MetricsRegistry`](crate::MetricsRegistry).
 //!
-//! The daemon emits one [`ServeEvent`] per request outcome through a
-//! [`ServeObserver`]; [`ServeMetrics`] is the shipped sink — a mutex
-//! around a [`ServeSnapshot`] of monotone counters and per-endpoint
-//! latency [`Histogram`]s whose merge is exact. [`serve_prometheus_text`]
+//! The daemon hands one [`ServeEvent`] per request outcome to
+//! [`ServeMetrics::event`]; [`ServeMetrics`] is a mutex around a
+//! [`ServeSnapshot`] of monotone counters and per-endpoint latency
+//! [`Histogram`]s whose merge is exact. [`serve_prometheus_text`]
 //! renders the snapshot in Prometheus text exposition format (counters as
 //! `mpdp_serve_*_total`, histograms with cumulative `_bucket{le=...}`
 //! series), so a scrape of a drained daemon and the sum of per-run
@@ -16,7 +16,8 @@ use std::fmt;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::metrics::{Histogram, LATENCY_BOUNDS_US};
+use crate::export::prometheus_histogram;
+use crate::metrics::Histogram;
 
 /// The daemon's request vocabulary. `Open`, `Admit`, and `Close` mutate a
 /// session and ride the *guaranteed* band; the read-only rest are
@@ -129,38 +130,6 @@ pub enum ServeEvent {
         /// Requests answered between the drain signal and exit.
         answered: usize,
     },
-}
-
-/// A sink for [`ServeEvent`]s — `mpdp_obs::Probe` / [`crate::FleetObserver`]
-/// lifted to the service layer. Emitters guard event construction behind
-/// `O::ENABLED`, so the null sink compiles the telemetry path out.
-pub trait ServeObserver {
-    /// Whether this observer consumes events.
-    const ENABLED: bool = true;
-
-    /// Receives one event. Takes `&self`: the daemon's worker threads
-    /// share one observer; implementations use interior mutability.
-    fn event(&self, event: &ServeEvent);
-}
-
-/// The disabled observer: serve telemetry compiled out.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullServeObserver;
-
-impl ServeObserver for NullServeObserver {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn event(&self, _event: &ServeEvent) {}
-}
-
-impl<O: ServeObserver + ?Sized> ServeObserver for &O {
-    const ENABLED: bool = O::ENABLED;
-
-    #[inline]
-    fn event(&self, event: &ServeEvent) {
-        (**self).event(event);
-    }
 }
 
 /// One coherent view of every daemon counter and per-endpoint histogram.
@@ -289,10 +258,10 @@ impl ServeMetrics {
     pub fn snapshot(&self) -> ServeSnapshot {
         self.inner.lock().unwrap_or_else(|p| p.into_inner()).clone()
     }
-}
 
-impl ServeObserver for ServeMetrics {
-    fn event(&self, event: &ServeEvent) {
+    /// Folds one event into the counters. Takes `&self`: the daemon's
+    /// worker threads share one registry.
+    pub fn event(&self, event: &ServeEvent) {
         self.inner
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -318,27 +287,11 @@ pub fn serve_prometheus_text(snapshot: &ServeSnapshot) -> String {
         if hist.count() == 0 {
             continue;
         }
-        let mut cumulative = 0u64;
-        for (bucket, &count) in hist.bucket_counts().iter().enumerate() {
-            cumulative += count;
-            let le = match LATENCY_BOUNDS_US.get(bucket) {
-                Some(bound) => bound.to_string(),
-                None => "+Inf".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "mpdp_serve_latency_microseconds_bucket{{endpoint=\"{endpoint}\",le=\"{le}\"}} {cumulative}"
-            );
-        }
-        let _ = writeln!(
-            out,
-            "mpdp_serve_latency_microseconds_sum{{endpoint=\"{endpoint}\"}} {}",
-            hist.sum_us()
-        );
-        let _ = writeln!(
-            out,
-            "mpdp_serve_latency_microseconds_count{{endpoint=\"{endpoint}\"}} {}",
-            hist.count()
+        prometheus_histogram(
+            &mut out,
+            "mpdp_serve_latency_microseconds",
+            &format!("endpoint=\"{endpoint}\""),
+            hist,
         );
     }
     out
@@ -437,6 +390,27 @@ mod tests {
         assert!(
             !text.contains("endpoint=\"open\""),
             "empty endpoints omitted"
+        );
+    }
+
+    #[test]
+    fn prometheus_export_matches_the_pinned_rendering() {
+        let mut s = ServeSnapshot::default();
+        s.apply(&ServeEvent::Enqueued { depth: 3 });
+        s.apply(&ServeEvent::ShedBestEffort);
+        for (endpoint, us) in [
+            (ServeEndpoint::Open, 450),
+            (ServeEndpoint::Query, 90),
+            (ServeEndpoint::Query, 90_000_000),
+        ] {
+            s.apply(&ServeEvent::Completed {
+                endpoint,
+                wall: Duration::from_micros(us),
+            });
+        }
+        assert_eq!(
+            serve_prometheus_text(&s),
+            include_str!("../tests/golden/serve_prometheus.txt")
         );
     }
 }

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use mpdp::core::policy::{DegradationPolicy, OverrunAction};
 use mpdp::core::time::Cycles;
-use mpdp::obs::{chrome_trace_json_multi, validate_json};
+use mpdp::obs::{chrome_trace_json_multi, parse_json};
 use mpdp::sweep::{
     cells_csv, report_json, run_cell_probed, run_sweep, ArrivalSpec, Knobs, SweepReport, SweepSpec,
     WorkloadSpec,
@@ -84,7 +84,7 @@ fn perfetto_trace_is_byte_stable_across_worker_counts() {
     };
     let doc = traced(1);
     assert_eq!(doc, traced(8), "trace drifted across worker counts");
-    validate_json(&doc).expect("trace JSON is well-formed");
+    parse_json(&doc).expect("trace JSON is well-formed");
 
     let golden_path = format!(
         "{}/tests/golden/trace_cell0.json",
