@@ -16,15 +16,12 @@
 use std::time::Instant;
 
 use mpdp_bench::cli::{
-    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error,
+    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, shard_worker, usage_error,
     write_json_output,
 };
 use mpdp_bench::experiment::{bench104_spec, fig4_spec, ExperimentConfig};
 use mpdp_bench::load_baseline;
-use mpdp_shard::{
-    parse_worker_invocation, run_worker, self_launcher, supervise_observed, SuperviseConfig,
-    WorkerConfig,
-};
+use mpdp_shard::{self_launcher, supervise, SuperviseConfig};
 use mpdp_sweep::{
     cells_csv, execute, run_sweep, CellCache, SweepError, SweepPlan, SweepReport, SweepSpec,
 };
@@ -83,7 +80,7 @@ fn cached_sweep(spec: &SweepSpec, cache: &CellCache) -> Result<SweepReport, Swee
         cache: Some(cache),
         ..SweepPlan::default()
     };
-    execute(spec, 1, &plan, &NullFleetObserver, |_| {}).map(|run| run.report)
+    execute(spec, 1, &plan, &NullFleetObserver).map(|run| run.report)
 }
 
 /// Minimum wall-clock over `repeats` single-worker sweeps of `spec`
@@ -154,10 +151,10 @@ fn time_sharded(spec: &SweepSpec, shards: usize, repeats: usize, golden_csv: &st
             .with_shards(shards)
             .with_dir(dir.clone());
         let start = Instant::now();
-        // The null observer (not a discarded log closure) is the honest
+        // The null observer (not a no-op transcript sink) is the honest
         // baseline: with `ENABLED = false` every clock read and line
         // allocation in the supervisor compiles out.
-        let sup = match supervise_observed(spec, &cfg, launch, &NullFleetObserver) {
+        let sup = match supervise(spec, &cfg, launch, &NullFleetObserver) {
             Ok(sup) => sup,
             Err(e) => runtime_error(format_args!("sharded sweep failed: {e}")),
         };
@@ -173,39 +170,12 @@ fn time_sharded(spec: &SweepSpec, shards: usize, repeats: usize, golden_csv: &st
     best
 }
 
-/// Hidden shard-worker mode for `--shards`: runs one shard of the
-/// 104-cell grid (the only spec the sharded bench measures) and exits.
-fn shard_worker(args: &[String]) -> ! {
-    let invocation = match parse_worker_invocation(args) {
-        Some(Ok(invocation)) => invocation,
-        Some(Err(e)) => usage_error(e),
-        None => unreachable!("caller checked for the worker flag"),
-    };
-    let spec = bench104_spec();
-    // metrics: false — this worker exists to be timed, so it must not
-    // pay the per-cell snapshot rewrite the production worker does.
-    let cfg = WorkerConfig {
-        threads: invocation.threads,
-        throttle: invocation.throttle,
-        metrics: false,
-        ..WorkerConfig::default()
-    };
-    match run_worker(
-        &spec,
-        invocation.start..invocation.end,
-        &invocation.journal,
-        &invocation.heartbeat,
-        &cfg,
-    ) {
-        Ok(_) => std::process::exit(0),
-        Err(e) => runtime_error(format_args!("shard worker failed: {e}")),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == mpdp_shard::WORKER_FLAG) {
-        shard_worker(&args);
+        // Hidden shard-worker mode for `--shards`: the 104-cell grid is
+        // the only spec the sharded bench measures.
+        shard_worker(&args, &bench104_spec());
     }
     check_known_flags(
         &args,

@@ -80,7 +80,7 @@ fn main() {
         max_cells,
         ..SweepPlan::default()
     };
-    let report = match execute(&spec, workers, &plan, &NullFleetObserver, |_| {}) {
+    let report = match execute(&spec, workers, &plan, &NullFleetObserver) {
         Ok(run) => {
             if let Some(journal) = resume.as_ref().filter(|_| run.resumed > 0) {
                 eprintln!("resumed {} cell(s) from {journal}", run.resumed);

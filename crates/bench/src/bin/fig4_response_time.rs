@@ -31,55 +31,25 @@
 
 use mpdp_bench::audit_sweep;
 use mpdp_bench::cli::{
-    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error, workers_flag,
-    write_json_output, write_output,
+    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, shard_worker, usage_error,
+    workers_flag, write_json_output, write_metrics_json, write_output,
 };
 use mpdp_bench::experiment::{fig4_seeded_spec, ExperimentConfig};
 use mpdp_obs::chrome_trace_json_multi;
-use mpdp_shard::{
-    metrics_path, parse_worker_invocation, run_worker, self_launcher, supervise_observed,
-    SuperviseConfig, WorkerConfig,
-};
+use mpdp_shard::{fleet_snapshot, self_launcher, supervise, SuperviseConfig};
 use mpdp_sweep::{
     cells_csv, execute, group_summaries, report_json, run_cell_probed, spec_fingerprint, SweepPlan,
 };
-use mpdp_telemetry::{
-    fleet_trace_json, metrics_json, snapshot_from_text, validate_metrics_json, FleetRecorder,
-    MetricsRegistry, TranscriptObserver,
-};
-
-/// Hidden shard-worker mode: a `--shards` supervisor re-executed this
-/// binary with a worker flag block. Rebuild the spec from the same
-/// `--seeds` flag the parent saw, run the assigned range, exit.
-fn shard_worker(args: &[String]) -> ! {
-    let invocation = match parse_worker_invocation(args) {
-        Some(Ok(invocation)) => invocation,
-        Some(Err(e)) => usage_error(e),
-        None => unreachable!("caller checked for the worker flag"),
-    };
-    let seeds: usize = parse_flag(args, "--seeds", "a seed count").unwrap_or(1);
-    let spec = fig4_seeded_spec(&ExperimentConfig::new(), seeds);
-    let cfg = WorkerConfig {
-        threads: invocation.threads,
-        throttle: invocation.throttle,
-        ..WorkerConfig::default()
-    };
-    match run_worker(
-        &spec,
-        invocation.start..invocation.end,
-        &invocation.journal,
-        &invocation.heartbeat,
-        &cfg,
-    ) {
-        Ok(_) => std::process::exit(0),
-        Err(e) => runtime_error(format_args!("shard worker failed: {e}")),
-    }
-}
+use mpdp_telemetry::{fleet_trace_json, FleetRecorder, MetricsRegistry, TranscriptObserver};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == mpdp_shard::WORKER_FLAG) {
-        shard_worker(&args);
+        // Hidden shard-worker mode: a `--shards` supervisor re-executed
+        // this binary. Rebuild the spec from the same `--seeds` flag the
+        // parent saw.
+        let seeds: usize = parse_flag(&args, "--seeds", "a seed count").unwrap_or(1);
+        shard_worker(&args, &fig4_seeded_spec(&ExperimentConfig::new(), seeds));
     }
     check_known_flags(
         &args,
@@ -167,7 +137,7 @@ fn main() {
         let transcript = TranscriptObserver::new(|line: &str| eprintln!("shard: {line}"));
         let registry = MetricsRegistry::new();
         let recorder = FleetRecorder::new();
-        match supervise_observed(&spec, &cfg, launch, &(&transcript, &registry, &recorder)) {
+        match supervise(&spec, &cfg, launch, &(&transcript, &registry, &recorder)) {
             Ok(sup) => {
                 let launches: u32 = sup.shards.iter().map(|s| s.launches).sum();
                 eprintln!(
@@ -175,19 +145,7 @@ fn main() {
                     sup.shards.len()
                 );
                 if let Some(path) = &telemetry_out {
-                    let mut fleet = registry.snapshot();
-                    for shard in &sup.shards {
-                        if let Ok(text) = std::fs::read_to_string(metrics_path(&shard.journal)) {
-                            if let Ok(worker) = snapshot_from_text(&text) {
-                                fleet.merge(&worker);
-                            }
-                        }
-                    }
-                    let json = metrics_json(&fleet);
-                    if let Err(e) = validate_metrics_json(&json) {
-                        runtime_error(format_args!("telemetry JSON failed validation: {e}"));
-                    }
-                    write_output(path, &json);
+                    write_metrics_json(path, &fleet_snapshot(&registry, &sup.shards));
                 }
                 if let Some(path) = &fleet_trace {
                     write_output(
@@ -206,17 +164,13 @@ fn main() {
             ..SweepPlan::default()
         };
         let registry = MetricsRegistry::new();
-        match execute(&spec, workers, &plan, &registry, |_| {}) {
+        match execute(&spec, workers, &plan, &registry) {
             Ok(run) => {
                 if let Some(journal) = resume.as_ref().filter(|_| run.resumed > 0) {
                     eprintln!("resumed {} cell(s) from {journal}", run.resumed);
                 }
                 if let Some(path) = &telemetry_out {
-                    let json = metrics_json(&registry.snapshot());
-                    if let Err(e) = validate_metrics_json(&json) {
-                        runtime_error(format_args!("telemetry JSON failed validation: {e}"));
-                    }
-                    write_output(path, &json);
+                    write_metrics_json(path, &registry.snapshot());
                 }
                 run.report
             }

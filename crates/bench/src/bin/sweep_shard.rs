@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release -p mpdp-bench --bin sweep_shard --
 //! supervise --spec fig4|bench104 [--seeds K] [--shards N] [--dir D]
-//! [--max-retries R] [--stall-ms MS] [--throttle-ms MS] [--threads T]
+//! [--retries R] [--stall-ms MS] [--throttle-ms MS] [--threads T]
 //! [--chaos-kills K --chaos-seed S [--chaos-tear]] [--cache-dir D]
 //! [--verify]
 //! [--csv out.csv] [--json out.json] [--telemetry-out m.json]
@@ -15,7 +15,7 @@
 //! The supervisor splits the grid into disjoint contiguous shards,
 //! re-executes this binary once per shard with hidden worker flags (the
 //! spec is rebuilt from `--spec`/`--seeds`, never serialized), watches
-//! per-shard heartbeat files, SIGKILLs stalled workers, retries crashes
+//! each shard journal's growth, SIGKILLs stalled workers, retries crashes
 //! with deterministic capped exponential backoff, and merges the shard
 //! journals into a report whose stdout/CSV/JSON bytes are identical to a
 //! single-process `run_sweep` — which `--verify` checks on the spot.
@@ -42,22 +42,20 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mpdp_bench::cli::{
-    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error, write_output,
+    check_known_flags, flag_value, has_flag, parse_flag, runtime_error, shard_worker, usage_error,
+    write_metrics_json, write_output,
 };
 use mpdp_bench::experiment::{
     bench104_edited_spec, bench104_spec, fig4_seeded_spec, ExperimentConfig,
 };
-use mpdp_shard::{
-    metrics_path, parse_worker_invocation, run_worker, self_launcher, supervise_observed,
-    ChaosPlan, SuperviseConfig, WorkerConfig,
-};
+use mpdp_shard::{fleet_snapshot, self_launcher, supervise, ChaosPlan, SuperviseConfig};
 use mpdp_sweep::{
     cells_csv, merge_journal_files, report_json, run_sweep, spec_fingerprint, summary_csv,
     SweepSpec,
 };
 use mpdp_telemetry::{
-    fleet_trace_json, metrics_csv, metrics_json, prometheus_text, snapshot_from_text,
-    validate_metrics_json, FleetRecorder, FleetSnapshot, MetricsRegistry, TranscriptObserver,
+    fleet_trace_json, metrics_csv, prometheus_text, FleetRecorder, MetricsRegistry,
+    TranscriptObserver,
 };
 
 /// Builds the named sweep grid. `--spec`/`--seeds` are the entire spec
@@ -81,31 +79,10 @@ fn spec_flags(args: &[String]) -> (String, usize) {
 }
 
 /// Hidden worker mode: launched only by `supervise` via self re-exec.
-/// Runs its assigned range, journals every cell, heartbeats, exits.
+/// Runs its assigned range, journals every cell, exits.
 fn worker_main(args: &[String]) -> ! {
-    let invocation = match parse_worker_invocation(args) {
-        Some(Ok(invocation)) => invocation,
-        Some(Err(e)) => usage_error(e),
-        None => usage_error("`worker` is launched by `supervise`, not by hand"),
-    };
     let (name, seeds) = spec_flags(args);
-    let spec = spec_for(&name, seeds);
-    let cfg = WorkerConfig {
-        threads: invocation.threads,
-        throttle: invocation.throttle,
-        cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
-        ..WorkerConfig::default()
-    };
-    match run_worker(
-        &spec,
-        invocation.start..invocation.end,
-        &invocation.journal,
-        &invocation.heartbeat,
-        &cfg,
-    ) {
-        Ok(_) => std::process::exit(0),
-        Err(e) => runtime_error(format_args!("shard worker failed: {e}")),
-    }
+    shard_worker(args, &spec_for(&name, seeds))
 }
 
 fn default_dir(spec: &SweepSpec) -> PathBuf {
@@ -123,8 +100,6 @@ fn supervise_main(args: &[String]) -> ! {
             "--shards",
             "--dir",
             "--retries",
-            "--max-retries",
-            "--stall-timeout-ms",
             "--stall-ms",
             "--throttle-ms",
             "--threads",
@@ -146,8 +121,6 @@ fn supervise_main(args: &[String]) -> ! {
             "--shards",
             "--dir",
             "--retries",
-            "--max-retries",
-            "--stall-timeout-ms",
             "--stall-ms",
             "--throttle-ms",
             "--threads",
@@ -168,19 +141,7 @@ fn supervise_main(args: &[String]) -> ! {
     let dir = flag_value(args, "--dir")
         .map(PathBuf::from)
         .unwrap_or_else(|| default_dir(&spec));
-    // `--max-retries` / `--stall-ms` are the documented spellings;
-    // `--retries` / `--stall-timeout-ms` are kept as aliases for existing
-    // scripts. Naming both spellings of one knob is a usage error, not a
-    // silent precedence rule.
-    if has_flag(args, "--retries") && has_flag(args, "--max-retries") {
-        usage_error("--retries and --max-retries are the same knob; name it once");
-    }
-    if has_flag(args, "--stall-timeout-ms") && has_flag(args, "--stall-ms") {
-        usage_error("--stall-timeout-ms and --stall-ms are the same knob; name it once");
-    }
-    let retries: u32 = parse_flag(args, "--max-retries", "a retry count")
-        .or_else(|| parse_flag(args, "--retries", "a retry count"))
-        .unwrap_or(2);
+    let retries: u32 = parse_flag(args, "--retries", "a retry count").unwrap_or(2);
     let throttle =
         Duration::from_millis(parse_flag(args, "--throttle-ms", "milliseconds").unwrap_or(0));
     let threads: usize = parse_flag(args, "--threads", "a thread count").unwrap_or(1);
@@ -188,11 +149,9 @@ fn supervise_main(args: &[String]) -> ! {
         .with_shards(shards)
         .with_dir(dir.clone())
         .with_retries(retries);
-    let stall_ms: Option<u64> = parse_flag(args, "--stall-ms", "milliseconds")
-        .or_else(|| parse_flag(args, "--stall-timeout-ms", "milliseconds"));
-    if let Some(ms) = stall_ms {
+    if let Some(ms) = parse_flag::<u64>(args, "--stall-ms", "milliseconds") {
         if ms == 0 {
-            usage_error("--stall-ms must be positive (0 would kill every heartbeat instantly)");
+            usage_error("--stall-ms must be positive (0 would kill every worker instantly)");
         }
         cfg = cfg.with_stall_timeout(Duration::from_millis(ms));
     }
@@ -237,22 +196,14 @@ fn supervise_main(args: &[String]) -> ! {
     let transcript = TranscriptObserver::new(|line: &str| eprintln!("  {line}"));
     let registry = MetricsRegistry::new();
     let recorder = FleetRecorder::new();
-    let sup = match supervise_observed(&spec, &cfg, launch, &(&transcript, &registry, &recorder)) {
+    let sup = match supervise(&spec, &cfg, launch, &(&transcript, &registry, &recorder)) {
         Ok(sup) => sup,
         Err(e) => runtime_error(format_args!("supervised run failed: {e}")),
     };
 
     // Fold in the cell-level counters each worker process persisted next
-    // to its journal. Advisory files: a missing or torn sidecar is
-    // skipped, never fatal.
-    let mut fleet: FleetSnapshot = registry.snapshot();
-    for shard in &sup.shards {
-        if let Ok(text) = std::fs::read_to_string(metrics_path(&shard.journal)) {
-            if let Ok(worker) = snapshot_from_text(&text) {
-                fleet.merge(&worker);
-            }
-        }
-    }
+    // to its journal.
+    let fleet = fleet_snapshot(&registry, &sup.shards);
 
     let launches: u32 = sup.shards.iter().map(|s| s.launches).sum();
     eprintln!(
@@ -269,11 +220,7 @@ fn supervise_main(args: &[String]) -> ! {
     );
 
     if let Some(path) = flag_value(args, "--telemetry-out") {
-        let json = metrics_json(&fleet);
-        if let Err(e) = validate_metrics_json(&json) {
-            runtime_error(format_args!("telemetry JSON failed validation: {e}"));
-        }
-        write_output(&path, &json);
+        write_metrics_json(&path, &fleet);
     }
     if let Some(path) = flag_value(args, "--telemetry-prom") {
         write_output(&path, &prometheus_text(&fleet));

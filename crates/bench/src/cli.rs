@@ -8,8 +8,13 @@
 //! to shell pipelines on some platforms.
 
 use std::fmt::Display;
+use std::path::PathBuf;
 use std::process::exit;
 use std::str::FromStr;
+
+use mpdp_shard::{parse_worker_invocation, run_worker, WorkerConfig};
+use mpdp_sweep::SweepSpec;
+use mpdp_telemetry::{metrics_json, validate_metrics_json, FleetSnapshot};
 
 /// Exit code for invalid command-line usage.
 pub const USAGE_ERROR: i32 = 2;
@@ -106,4 +111,43 @@ pub fn write_json_output(path: &str, what: &str, doc: &str) {
         runtime_error(format_args!("{what} failed self-validation: {e}"));
     }
     write_output(path, doc);
+}
+
+/// Writes the `mpdp-fleet-metrics/1` JSON of `snapshot` to `path`; a
+/// document that fails schema validation is a runtime error, never
+/// written.
+pub fn write_metrics_json(path: &str, snapshot: &FleetSnapshot) {
+    let json = metrics_json(snapshot);
+    if let Err(e) = validate_metrics_json(&json) {
+        runtime_error(format_args!("telemetry JSON failed validation: {e}"));
+    }
+    write_output(path, &json);
+}
+
+/// Hidden shard-worker mode, for a binary a supervisor re-executed with
+/// the worker flag block in `args` (see `mpdp_shard::reexec`): runs the
+/// assigned range of `spec` — which the binary rebuilt from the same
+/// flags the supervisor saw — with the `--cache-dir` in `args`, if any,
+/// and exits 0. A malformed or missing flag block is a usage error; a
+/// failed shard is a runtime error the supervisor retries.
+pub fn shard_worker(args: &[String], spec: &SweepSpec) -> ! {
+    let invocation = match parse_worker_invocation(args) {
+        Some(Ok(invocation)) => invocation,
+        Some(Err(e)) => usage_error(e),
+        None => usage_error("worker mode is launched by a supervisor, not by hand"),
+    };
+    let cfg = WorkerConfig {
+        threads: invocation.threads,
+        throttle: invocation.throttle,
+        cache_dir: flag_value(args, "--cache-dir").map(PathBuf::from),
+    };
+    match run_worker(
+        spec,
+        invocation.start..invocation.end,
+        &invocation.journal,
+        &cfg,
+    ) {
+        Ok(_) => exit(0),
+        Err(e) => runtime_error(format_args!("shard worker failed: {e}")),
+    }
 }

@@ -7,10 +7,9 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use mpdp_bench::experiment::bench104_spec;
-use mpdp_shard::{supervise_observed, ChaosPlan, ShardOutcome, SuperviseConfig, SupervisedSweep};
+use mpdp_shard::{supervise, ChaosPlan, ShardOutcome, SuperviseConfig, SupervisedSweep};
 use mpdp_sweep::{cells_csv, report_json, run_cell, run_sweep, Journal, SweepSpec};
 use mpdp_telemetry::{fleet_trace_json, FleetRecorder, MetricsRegistry, TranscriptObserver};
 
@@ -176,7 +175,7 @@ fn telemetry_exports_ride_along_without_changing_a_byte() {
         assert_eq!(json_counter(tel, "merged_cells"), 104);
         assert_eq!(json_counter(tel, "shards_done"), shards as u64);
         // Worker sidecars made it into the fleet snapshot. The sidecar is
-        // advisory (like the heartbeat): a SIGKILL can land between a
+        // advisory: a SIGKILL can land between a
         // cell's fsynced journal append and its sidecar rewrite, losing
         // at most that one in-flight sample per kill — so coverage is
         // exact up to the delivered kills.
@@ -281,8 +280,6 @@ fn chaos_supervise(
     let cfg = SuperviseConfig::default()
         .with_dir(dir)
         .with_shards(2)
-        .with_backoff(Duration::from_millis(1), Duration::from_millis(8))
-        .with_poll_interval(Duration::from_millis(2))
         .with_chaos(ChaosPlan::new(2, 0xFEED).with_tear());
     let live = TranscriptObserver::new(|line: &str| {
         transcript
@@ -290,10 +287,10 @@ fn chaos_supervise(
             .unwrap_or_else(|p| p.into_inner())
             .push(line.to_string());
     });
-    supervise_observed(
+    supervise(
         spec,
         &cfg,
-        |plan, attempt, journal, _hb| {
+        |plan, attempt, journal| {
             fill_journal(spec, plan.range(), journal);
             // The first launch (attempt 0) idles so the chaos SIGKILL
             // provably lands; relaunches exit immediately over the

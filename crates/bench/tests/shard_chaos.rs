@@ -101,7 +101,7 @@ fn committed_golden_matches_the_single_process_run() {
 /// A stall interval shorter than the per-cell work (25 ms against 10 ms
 /// throttle plus real sweep work) makes spurious stall kills likely, and
 /// every stall kill burns retry budget — so with a generous
-/// `--max-retries` the fleet must still converge to the byte-identical
+/// `--retries` the fleet must still converge to the byte-identical
 /// single-process output, however many times workers get killed and
 /// relaunched along the way.
 #[test]
@@ -123,7 +123,7 @@ fn a_tiny_stall_interval_still_converges_byte_identically() {
             "10",
             "--stall-ms",
             "25",
-            "--max-retries",
+            "--retries",
             "10",
         ])
         .arg("--dir")
@@ -148,9 +148,9 @@ fn a_tiny_stall_interval_still_converges_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The supervise flag spellings are validated, not silently resolved: a
-/// zero stall interval and double-naming one knob are usage errors
-/// (exit 2) before any worker is spawned.
+/// The supervise flags are validated before any worker is spawned: a zero
+/// stall interval and the removed second spellings of `--retries` and
+/// `--stall-ms` are usage errors (exit 2).
 #[test]
 fn supervise_flag_misuse_is_a_usage_error() {
     let cases: &[(&[&str], &str)] = &[
@@ -159,28 +159,18 @@ fn supervise_flag_misuse_is_a_usage_error() {
             "--stall-ms must be positive",
         ),
         (
-            &[
-                "supervise",
-                "--spec",
-                "bench104",
-                "--retries",
-                "3",
-                "--max-retries",
-                "4",
-            ],
-            "same knob",
+            &["supervise", "--spec", "bench104", "--max-retries", "4"],
+            "unknown flag `--max-retries`",
         ),
         (
             &[
                 "supervise",
                 "--spec",
                 "bench104",
-                "--stall-ms",
-                "25",
                 "--stall-timeout-ms",
                 "30",
             ],
-            "same knob",
+            "unknown flag `--stall-timeout-ms`",
         ),
     ];
     for (args, needle) in cases {

@@ -46,6 +46,7 @@
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod policy;
 pub mod priority;

@@ -5,10 +5,11 @@
 //! compiled state and the caller's coordinates, so answers are independent
 //! of query order (and therefore of worker scheduling).
 
+use mpdp_core::hash::mix;
 use mpdp_core::time::Cycles;
 
 use crate::plan::{BusSpike, FailStop, InterruptFaults, WcetOverrun};
-use crate::{mix, unit};
+use crate::unit;
 
 /// Decision-class salts: distinct hash subspaces per fault class.
 const SALT_WCET: u64 = 0x57CE_7001;

@@ -53,21 +53,12 @@
 mod compiled;
 mod plan;
 
+use mpdp_core::hash::mix;
+
 pub use compiled::CompiledFaults;
 pub use plan::{
     BusSpike, FailStop, FaultPlan, FaultPlanError, InterruptFaults, OverloadBurst, WcetOverrun,
 };
-
-/// SplitMix64 finalizer over `seed ⊕ γ·index` — the same mixing family the
-/// sweep engine uses for cell streams, so fault decisions are statistically
-/// independent of workload/arrival draws derived from the same cell.
-#[inline]
-pub(crate) fn mix(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Derives the fault decision stream for a cell from its sweep RNG stream.
 ///

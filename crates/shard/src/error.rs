@@ -1,7 +1,7 @@
 //! Typed errors and per-shard failure taxonomy for supervised runs.
 //!
 //! A worker process can die in more ways than a worker thread: spawn
-//! failure, nonzero exit, fatal signal (`kill -9`), a hang the heartbeat
+//! failure, nonzero exit, fatal signal (`kill -9`), a hang the stall
 //! watchdog has to break, or a clean exit that nevertheless left its
 //! journal short. Each is a value the supervisor records and retries —
 //! never a panic — and only a shard that exhausts its retry budget turns
@@ -34,8 +34,8 @@ pub enum ShardFailure {
         /// The signal number, when the platform reports one.
         signal: Option<i32>,
     },
-    /// The worker stopped making progress: its heartbeat file did not
-    /// change within the stall deadline, so the supervisor killed it.
+    /// The worker stopped making progress: its journal did not change
+    /// length within the stall deadline, so the supervisor killed it.
     Stalled {
         /// Cells the shard had durably completed when it was declared hung.
         journaled: usize,
@@ -88,8 +88,7 @@ impl fmt::Display for ShardFailure {
 pub enum ShardError {
     /// The spec failed validation before any worker launched.
     Spec(SweepError),
-    /// Supervisor-side I/O failed (creating the shard directory, reading a
-    /// journal or heartbeat).
+    /// Supervisor-side I/O failed (creating the shard directory).
     Io {
         /// Path involved.
         path: String,

@@ -6,10 +6,10 @@
 //! spec from the same CLI flags the user typed, because the spec is a
 //! pure function of those flags. A supervising binary therefore
 //! relaunches **itself** (`current_exe()`) with its original flags plus a
-//! hidden flag block naming the shard range, journal, and heartbeat
-//! paths. The child sees [`parse_worker_invocation`] return `Some`,
-//! switches into worker mode, runs its range, and exits — it never
-//! prints the user-facing report.
+//! hidden flag block naming the shard range and journal path. The child
+//! sees [`parse_worker_invocation`] return `Some`, switches into worker
+//! mode, runs its range, and exits — it never prints the user-facing
+//! report.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -30,8 +30,6 @@ pub struct WorkerInvocation {
     pub end: usize,
     /// Shard journal path.
     pub journal: PathBuf,
-    /// Heartbeat file path.
-    pub heartbeat: PathBuf,
     /// Worker-pool threads inside the worker process.
     pub threads: usize,
     /// Post-cell throttle (chaos testing only).
@@ -71,7 +69,6 @@ fn parse_block(args: &[String], at: usize) -> Result<WorkerInvocation, String> {
         .parse()
         .map_err(|_| format!("malformed shard range `{range}`"))?;
     let journal = PathBuf::from(value_after(args, "--shard-journal")?);
-    let heartbeat = PathBuf::from(value_after(args, "--shard-heartbeat")?);
     let threads = match args.iter().position(|a| a == "--shard-threads") {
         Some(_) => value_after(args, "--shard-threads")?
             .parse()
@@ -90,7 +87,6 @@ fn parse_block(args: &[String], at: usize) -> Result<WorkerInvocation, String> {
         start,
         end,
         journal,
-        heartbeat,
         threads,
         throttle,
     })
@@ -109,29 +105,25 @@ pub fn self_launcher(
     passthrough: Vec<String>,
     threads: usize,
     throttle: Duration,
-) -> io::Result<impl FnMut(&ShardPlan, u32, &Path, &Path) -> io::Result<Child>> {
+) -> io::Result<impl FnMut(&ShardPlan, u32, &Path) -> io::Result<Child>> {
     let exe = std::env::current_exe()?;
-    Ok(
-        move |plan: &ShardPlan, _attempt: u32, journal: &Path, heartbeat: &Path| {
-            let mut cmd = Command::new(&exe);
-            cmd.args(&passthrough)
-                .arg(WORKER_FLAG)
-                .arg(format!("{}..{}", plan.start, plan.end))
-                .arg("--shard-journal")
-                .arg(journal)
-                .arg("--shard-heartbeat")
-                .arg(heartbeat)
-                .arg("--shard-threads")
-                .arg(threads.to_string())
-                .stdout(Stdio::null())
-                .stderr(Stdio::null());
-            if !throttle.is_zero() {
-                cmd.arg("--shard-throttle-ms")
-                    .arg(throttle.as_millis().to_string());
-            }
-            cmd.spawn()
-        },
-    )
+    Ok(move |plan: &ShardPlan, _attempt: u32, journal: &Path| {
+        let mut cmd = Command::new(&exe);
+        cmd.args(&passthrough)
+            .arg(WORKER_FLAG)
+            .arg(format!("{}..{}", plan.start, plan.end))
+            .arg("--shard-journal")
+            .arg(journal)
+            .arg("--shard-threads")
+            .arg(threads.to_string())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null());
+        if !throttle.is_zero() {
+            cmd.arg("--shard-throttle-ms")
+                .arg(throttle.as_millis().to_string());
+        }
+        cmd.spawn()
+    })
 }
 
 #[cfg(test)]
@@ -157,8 +149,6 @@ mod tests {
             "3..9",
             "--shard-journal",
             "/tmp/j",
-            "--shard-heartbeat",
-            "/tmp/h",
             "--shard-threads",
             "2",
             "--shard-throttle-ms",
@@ -173,7 +163,6 @@ mod tests {
                 start: 3,
                 end: 9,
                 journal: PathBuf::from("/tmp/j"),
-                heartbeat: PathBuf::from("/tmp/h"),
                 threads: 2,
                 throttle: Duration::from_millis(15),
             }
@@ -187,7 +176,16 @@ mod tests {
             vec!["bin", WORKER_FLAG, "3-9"],
             vec!["bin", WORKER_FLAG, "a..b"],
             vec!["bin", WORKER_FLAG, "3..9"],
-            vec!["bin", WORKER_FLAG, "3..9", "--shard-journal", "/tmp/j"],
+            vec!["bin", WORKER_FLAG, "3..9", "--shard-journal"],
+            vec![
+                "bin",
+                WORKER_FLAG,
+                "3..9",
+                "--shard-journal",
+                "/tmp/j",
+                "--shard-threads",
+                "x",
+            ],
         ] {
             let args = argv(&bad);
             assert!(

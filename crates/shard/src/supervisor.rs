@@ -1,19 +1,20 @@
 //! The supervisor side of the shard protocol: launch one OS process per
-//! shard, watch heartbeats and exits, retry failures with deterministic
-//! capped exponential backoff, and merge the shard journals into a report
-//! whose exports are byte-identical to a single-process run.
+//! shard, watch journal growth and exits, retry failures with
+//! deterministic capped exponential backoff, and merge the shard journals
+//! into a report whose exports are byte-identical to a single-process run.
 //!
 //! ## Failure envelope
 //!
 //! The supervisor treats worker fail-stop as a first-class, recoverable
 //! event. Every launch can end five ways — spawn failure, nonzero exit,
-//! fatal signal (`kill -9`), heartbeat stall (the watchdog kills the
-//! process), or a clean exit with an incomplete journal — and each is
-//! recorded as a typed [`ShardFailure`] and retried until the shard's
-//! budget is spent. Retries are *seed-preserving by construction*: a
-//! relaunched worker runs the same `(spec, cell index)` functions, resumes
-//! from the journal's fsynced prefix (including a torn tail, which journal
-//! recovery truncates), and therefore cannot change a single merged byte.
+//! fatal signal (`kill -9`), stall (the journal stopped growing and the
+//! watchdog killed the process), or a clean exit with an incomplete
+//! journal — and each is recorded as a typed [`ShardFailure`] and
+//! retried until the shard's budget is spent. Retries are
+//! *seed-preserving by construction*: a relaunched worker runs the same
+//! `(spec, cell index)` functions, resumes from the journal's fsynced
+//! prefix (including a torn tail, which journal recovery truncates), and
+//! therefore cannot change a single merged byte.
 //!
 //! ## Chaos harness
 //!
@@ -24,6 +25,17 @@
 //! first victim's journal mid-record before the relaunch. Chaos kills do
 //! not consume the organic retry budget — they test the recovery path,
 //! not the budget arithmetic.
+//!
+//! ## Progress
+//!
+//! The journal is the only progress signal. Each poll reads the running
+//! shard's journal length (one `metadata` call, seeded just before the
+//! launch); a change of length is progress, and no change for
+//! [`SuperviseConfig::stall_timeout`] is a stall. The first interval thus
+//! runs from launch to the worker's first journal write: a fresh
+//! journal's header, else its first new record. Records are counted only
+//! when the length changed and an observer or a pending chaos threshold
+//! needs the number.
 
 use std::collections::VecDeque;
 use std::io;
@@ -31,12 +43,24 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, ExitStatus};
 use std::time::{Duration, Instant};
 
+use mpdp_core::hash::mix;
 use mpdp_sweep::{
-    merge_journal_files, plan_spec_shards, read_shard_journal, ShardPlan, SweepReport, SweepSpec,
+    merge_journal_files, plan_spec_shards, read_shard_journal, JournalTail, ShardPlan, SweepReport,
+    SweepSpec,
 };
-use mpdp_telemetry::{FleetEvent, FleetEventKind, FleetObserver, TranscriptObserver};
+use mpdp_telemetry::{FleetEvent, FleetEventKind, FleetObserver};
 
 use crate::error::{ShardError, ShardFailure};
+
+/// Sleep before the first relaunch after a failure (doubling per further
+/// failure), and before a chaos victim's relaunch.
+const BACKOFF: Duration = Duration::from_millis(50);
+
+/// Ceiling on the relaunch backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Supervisor poll cadence.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Emits one supervision event iff the observer is enabled: the clock
 /// read, the journal stats, and the event construction all compile out
@@ -94,24 +118,19 @@ pub struct SuperviseConfig {
     /// Worker processes to split the grid across (clamped to the cell
     /// count by shard planning).
     pub shards: usize,
-    /// Directory for shard journals (`shard-N.mpdpj`) and heartbeats
-    /// (`shard-N.hb`). Created if absent. Journals persist across
-    /// supervisor restarts, so a rerun of the same spec resumes; use a
-    /// fresh directory per spec.
+    /// Directory for shard journals (`shard-N.mpdpj`) and their metrics
+    /// sidecars. Created if absent. Journals persist across supervisor
+    /// restarts, so a rerun of the same spec resumes; use a fresh
+    /// directory per spec.
     pub dir: PathBuf,
     /// Relaunches after a failed launch (so `retries + 1` launches per
     /// shard before it is declared failed). Chaos kills are exempt.
     pub retries: u32,
-    /// Sleep before the first relaunch; doubles per subsequent failure.
-    pub backoff: Duration,
-    /// Ceiling on the relaunch backoff.
-    pub backoff_cap: Duration,
-    /// A worker whose heartbeat file content does not change for this long
-    /// is declared hung and killed (then retried). Must exceed the longest
+    /// A worker whose journal does not change length for this long is
+    /// declared hung and killed (then retried). The first interval runs
+    /// from launch, so it must exceed worker start-up plus the longest
     /// single cell.
     pub stall_timeout: Duration,
-    /// Supervisor poll cadence.
-    pub poll_interval: Duration,
     /// Optional chaos injection.
     pub chaos: Option<ChaosPlan>,
 }
@@ -122,10 +141,7 @@ impl Default for SuperviseConfig {
             shards: 2,
             dir: std::env::temp_dir().join("mpdp-shards"),
             retries: 2,
-            backoff: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
             stall_timeout: Duration::from_secs(10),
-            poll_interval: Duration::from_millis(10),
             chaos: None,
         }
     }
@@ -138,7 +154,7 @@ impl SuperviseConfig {
         self
     }
 
-    /// Sets the journal/heartbeat directory.
+    /// Sets the journal directory.
     pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.dir = dir.into();
         self
@@ -150,22 +166,9 @@ impl SuperviseConfig {
         self
     }
 
-    /// Sets the heartbeat stall deadline.
+    /// Sets the stall deadline.
     pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
         self.stall_timeout = timeout;
-        self
-    }
-
-    /// Sets the poll cadence.
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
-        self
-    }
-
-    /// Sets the base backoff and its cap.
-    pub fn with_backoff(mut self, backoff: Duration, cap: Duration) -> Self {
-        self.backoff = backoff;
-        self.backoff_cap = cap;
         self
     }
 
@@ -174,13 +177,13 @@ impl SuperviseConfig {
         self.chaos = Some(chaos);
         self
     }
+}
 
-    /// Deterministic capped exponential backoff before relaunch number
-    /// `failures + 1`: `backoff * 2^failures`, capped.
-    fn backoff_for(&self, failures: u32) -> Duration {
-        let factor = 1u32 << failures.min(10);
-        self.backoff.saturating_mul(factor).min(self.backoff_cap)
-    }
+/// Deterministic capped exponential backoff before relaunch number
+/// `failures + 1`: `BACKOFF * 2^failures`, capped.
+fn backoff_for(failures: u32) -> Duration {
+    let factor = 1u32 << failures.min(10);
+    BACKOFF.saturating_mul(factor).min(BACKOFF_CAP)
 }
 
 /// How one shard's supervision concluded.
@@ -224,26 +227,10 @@ pub struct SupervisedSweep {
     pub torn: u32,
 }
 
-/// SplitMix64 finalizer over `(seed, lane)` — the crate's one source of
-/// "randomness", fully determined by the chaos seed.
-fn mix(seed: u64, lane: u64) -> u64 {
-    let mut z = seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Complete (newline-terminated) journal records currently on disk.
-/// A torn tail or missing file counts as zero-progress for that part.
-fn journal_records(path: &Path) -> usize {
-    match std::fs::read_to_string(path) {
-        Ok(contents) => contents
-            .split_inclusive('\n')
-            .filter(|line| line.ends_with('\n'))
-            .count()
-            .saturating_sub(1), // the header line
-        Err(_) => 0,
-    }
+/// The journal's byte length, zero while it does not exist: the
+/// supervisor's per-poll progress probe.
+fn journal_len(path: &Path) -> u64 {
+    std::fs::metadata(path).map_or(0, |meta| meta.len())
 }
 
 /// Tears the journal's last record mid-write (drops the final 7 bytes —
@@ -278,14 +265,16 @@ enum Phase {
     /// A worker process is running.
     Running {
         child: Child,
-        /// Last observed heartbeat file content.
-        beat: String,
-        /// When the heartbeat content last changed.
-        beat_at: Instant,
+        /// Journal length as last observed, seeded just before the launch.
+        len: u64,
+        /// The journal's record count, read only when it is needed.
+        tail: JournalTail,
+        /// Launch, or when the journal length last changed.
+        progress_at: Instant,
         /// The supervisor killed this worker as a chaos victim; its death
         /// must not count against the organic retry budget.
         chaos_kill: bool,
-        /// The supervisor killed this worker for a heartbeat stall.
+        /// The supervisor killed this worker for a stall.
         stall_kill: bool,
     },
     /// Journal covers the range.
@@ -297,7 +286,6 @@ enum Phase {
 struct ShardState {
     plan: ShardPlan,
     journal: PathBuf,
-    heartbeat: PathBuf,
     launches: u32,
     chaos_kills: u32,
     failures: Vec<ShardFailure>,
@@ -328,7 +316,7 @@ impl ShardState {
             });
             self.phase = Phase::Dead;
         } else {
-            let wait = cfg.backoff_for(failures);
+            let wait = backoff_for(failures);
             emit(observer, started, Some(self.plan.index), || {
                 FleetEventKind::Retry {
                     failure: failure.kind(),
@@ -343,14 +331,19 @@ impl ShardState {
 }
 
 /// Supervises a full sharded run of `spec`: plans disjoint shards,
-/// launches a worker per shard via `launch`, watches heartbeats and
+/// launches a worker per shard via `launch`, watches journal growth and
 /// exits, retries failures, applies the configured chaos, and merges the
-/// shard journals into a [`SupervisedSweep`]. `log` receives the
-/// recovery transcript, one human-readable line per event.
+/// shard journals into a [`SupervisedSweep`]. Every supervision decision
+/// (launches, journal progress, chaos kills, tears, retries, stalls,
+/// completions, the merge) is emitted to `observer` as a [`FleetEvent`];
+/// a [`TranscriptObserver`](mpdp_telemetry::TranscriptObserver) renders
+/// them as the human-readable recovery transcript, and with
+/// [`NullFleetObserver`](mpdp_telemetry::NullFleetObserver) the whole
+/// telemetry path — formatting included — compiles out.
 ///
-/// `launch` is called as `launch(&plan, launch_number, journal_path,
-/// heartbeat_path)` and must start a worker process that runs exactly the
-/// plan's cells — normally by re-executing the current binary with hidden
+/// `launch` is called as `launch(&plan, launch_number, journal_path)` and
+/// must start a worker process that runs exactly the plan's cells into
+/// that journal — normally by re-executing the current binary with hidden
 /// worker flags (see [`reexec`](crate::reexec)); tests substitute shell
 /// stand-ins.
 ///
@@ -362,35 +355,14 @@ impl ShardState {
 /// resumable), [`ShardError::Merge`] if the completed journals will not
 /// recombine, and [`ShardError::Io`] for supervisor-side filesystem
 /// failures.
-pub fn supervise<L, G>(
-    spec: &SweepSpec,
-    cfg: &SuperviseConfig,
-    launch: L,
-    log: G,
-) -> Result<SupervisedSweep, ShardError>
-where
-    L: FnMut(&ShardPlan, u32, &Path, &Path) -> io::Result<Child>,
-    G: FnMut(&str),
-{
-    supervise_observed(spec, cfg, launch, &TranscriptObserver::new(log))
-}
-
-/// [`supervise`] with a typed [`FleetObserver`] instead of the line
-/// callback: every supervision decision (launches, heartbeats, chaos
-/// kills, tears, retries, stalls, completions, the merge) is emitted as
-/// a [`FleetEvent`]. [`supervise`] itself is this plus a
-/// [`TranscriptObserver`], which renders the classic transcript
-/// byte-identically; with
-/// [`NullFleetObserver`](mpdp_telemetry::NullFleetObserver) the whole
-/// telemetry path — formatting included — compiles out.
-pub fn supervise_observed<L, O>(
+pub fn supervise<L, O>(
     spec: &SweepSpec,
     cfg: &SuperviseConfig,
     mut launch: L,
     observer: &O,
 ) -> Result<SupervisedSweep, ShardError>
 where
-    L: FnMut(&ShardPlan, u32, &Path, &Path) -> io::Result<Child>,
+    L: FnMut(&ShardPlan, u32, &Path) -> io::Result<Child>,
     O: FleetObserver,
 {
     let plans = plan_spec_shards(spec, cfg.shards).map_err(ShardError::Spec)?;
@@ -425,7 +397,6 @@ where
         .map(|plan| ShardState {
             plan: *plan,
             journal: cfg.dir.join(format!("shard-{}.mpdpj", plan.index)),
-            heartbeat: cfg.dir.join(format!("shard-{}.hb", plan.index)),
             launches: 0,
             chaos_kills: 0,
             failures: Vec::new(),
@@ -451,7 +422,10 @@ where
                         continue;
                     }
                     let attempt = s.launches;
-                    match launch(&s.plan, attempt, &s.journal, &s.heartbeat) {
+                    // Seeded before the launch: anything the new worker
+                    // writes from here on is progress.
+                    let len = journal_len(&s.journal);
+                    match launch(&s.plan, attempt, &s.journal) {
                         Ok(child) => {
                             s.launches += 1;
                             let pid = child.id();
@@ -464,8 +438,9 @@ where
                                     cells_end: s.plan.end,
                                 }
                             });
+                            let mut tail = JournalTail::new(&s.journal, spec);
                             if O::ENABLED {
-                                let cells = journal_records(&s.journal);
+                                let cells = tail.count();
                                 if cells > 0 {
                                     emit(observer, started, Some(s.plan.index), || {
                                         FleetEventKind::Resumed { cells }
@@ -474,8 +449,9 @@ where
                             }
                             s.phase = Phase::Running {
                                 child,
-                                beat: String::new(),
-                                beat_at: Instant::now(),
+                                len,
+                                tail,
+                                progress_at: Instant::now(),
                                 chaos_kill: false,
                                 stall_kill: false,
                             };
@@ -508,8 +484,9 @@ where
                 }
                 Phase::Running {
                     child,
-                    beat,
-                    beat_at,
+                    len,
+                    tail,
+                    progress_at,
                     chaos_kill,
                     stall_kill,
                 } => {
@@ -538,10 +515,10 @@ where
                                     FleetEventKind::ChaosReaped
                                 });
                                 s.phase = Phase::Pending {
-                                    at: Instant::now() + cfg.backoff,
+                                    at: Instant::now() + BACKOFF,
                                 };
                             } else if was_stall {
-                                let journaled = journal_records(&s.journal);
+                                let journaled = tail.count();
                                 s.fail(ShardFailure::Stalled { journaled }, cfg, observer, started);
                             } else if status.success() {
                                 let journaled = match read_shard_journal(&s.journal, spec) {
@@ -592,36 +569,38 @@ where
                             }
                         }
                         Ok(None) => {
-                            // Still running: chaos first, then the stall
+                            // Still running. Journal growth is progress:
+                            // chaos thresholds first, then the heartbeat
+                            // event; an unchanged length ages the stall
                             // watchdog.
-                            if let Some(&threshold) = s.kill_at.front() {
-                                let records = journal_records(&s.journal);
-                                if records >= threshold {
-                                    s.kill_at.pop_front();
-                                    let _ = child.kill();
-                                    *chaos_kill = true;
-                                    s.chaos_kills += 1;
-                                    total_chaos_kills += 1;
-                                    emit(observer, started, Some(s.plan.index), || {
-                                        FleetEventKind::ChaosKill {
-                                            journaled: records,
-                                            threshold,
-                                        }
-                                    });
-                                    continue;
-                                }
-                            }
-                            let current = std::fs::read_to_string(&s.heartbeat).unwrap_or_default();
-                            if current != *beat {
-                                if O::ENABLED && !current.is_empty() {
-                                    let journaled = current.trim().parse().unwrap_or(0);
-                                    emit(observer, started, Some(s.plan.index), || {
+                            let now_len = journal_len(&s.journal);
+                            if now_len != *len {
+                                *len = now_len;
+                                *progress_at = Instant::now();
+                                if O::ENABLED || !s.kill_at.is_empty() {
+                                    let journaled = tail.count();
+                                    let index = s.plan.index;
+                                    if let Some(&threshold) =
+                                        s.kill_at.front().filter(|&&t| journaled >= t)
+                                    {
+                                        s.kill_at.pop_front();
+                                        let _ = child.kill();
+                                        *chaos_kill = true;
+                                        s.chaos_kills += 1;
+                                        total_chaos_kills += 1;
+                                        emit(observer, started, Some(index), || {
+                                            FleetEventKind::ChaosKill {
+                                                journaled,
+                                                threshold,
+                                            }
+                                        });
+                                        continue;
+                                    }
+                                    emit(observer, started, Some(index), || {
                                         FleetEventKind::Heartbeat { journaled }
                                     });
                                 }
-                                *beat = current;
-                                *beat_at = Instant::now();
-                            } else if beat_at.elapsed() > cfg.stall_timeout {
+                            } else if progress_at.elapsed() > cfg.stall_timeout {
                                 let _ = child.kill();
                                 *stall_kill = true;
                                 emit(observer, started, Some(s.plan.index), || {
@@ -638,7 +617,7 @@ where
         if !active {
             break;
         }
-        std::thread::sleep(cfg.poll_interval);
+        std::thread::sleep(POLL_INTERVAL);
     }
 
     if let Some((shard, detail)) = fatal_spawn {
@@ -707,8 +686,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpdp_sweep::{run_cell, spec_fingerprint, Journal, SweepSpec};
-    use std::process::Command;
+    use mpdp_sweep::{run_cell, spec_fingerprint, CellResult, CellSpec, Journal, SweepSpec};
+    use mpdp_telemetry::{FleetRecorder, TranscriptObserver};
+    use std::process::{ChildStdin, Command, Stdio};
 
     /// A 9-cell grid (3 procs × 3 utilizations × 1 seed × 1 knob).
     fn spec() -> SweepSpec {
@@ -723,11 +703,8 @@ mod tests {
         dir
     }
 
-    fn quick_cfg(dir: PathBuf) -> SuperviseConfig {
-        SuperviseConfig::default()
-            .with_dir(dir)
-            .with_backoff(Duration::from_millis(1), Duration::from_millis(8))
-            .with_poll_interval(Duration::from_millis(2))
+    fn cfg_in(dir: PathBuf) -> SuperviseConfig {
+        SuperviseConfig::default().with_dir(dir)
     }
 
     /// Completes `plan`'s cells in its journal in-process, then returns a
@@ -756,16 +733,16 @@ mod tests {
         let spec = spec();
         let golden = mpdp_sweep::run_sweep(&spec, 1).expect("golden");
         let dir = tempdir("happy");
-        let cfg = quick_cfg(dir.clone()).with_shards(3);
+        let cfg = cfg_in(dir.clone()).with_shards(3);
         let mut transcript = Vec::new();
         let sup = supervise(
             &spec,
             &cfg,
-            |plan, _attempt, journal, _hb| {
+            |plan, _attempt, journal| {
                 fill_journal(&spec, plan, journal);
                 sh("true")
             },
-            |line| transcript.push(line.to_string()),
+            &TranscriptObserver::new(|line: &str| transcript.push(line.to_string())),
         )
         .expect("supervised run completes");
         assert_eq!(sup.shards.len(), 3);
@@ -789,12 +766,12 @@ mod tests {
     fn crashed_worker_is_retried_and_the_run_still_completes() {
         let spec = spec();
         let dir = tempdir("crash");
-        let cfg = quick_cfg(dir.clone()).with_shards(1).with_retries(2);
+        let cfg = cfg_in(dir.clone()).with_shards(1).with_retries(2);
         let mut transcript = Vec::new();
         let sup = supervise(
             &spec,
             &cfg,
-            |plan, attempt, journal, _hb| {
+            |plan, attempt, journal| {
                 if attempt == 0 {
                     // First launch dies by SIGKILL before journaling.
                     sh("kill -9 $$")
@@ -803,7 +780,7 @@ mod tests {
                     sh("true")
                 }
             },
-            |line| transcript.push(line.to_string()),
+            &TranscriptObserver::new(|line: &str| transcript.push(line.to_string())),
         )
         .expect("retry recovers the crash");
         assert_eq!(sup.shards[0].launches, 2);
@@ -819,23 +796,23 @@ mod tests {
     fn stalled_worker_is_killed_and_retried() {
         let spec = spec();
         let dir = tempdir("stall");
-        let cfg = quick_cfg(dir.clone())
+        let cfg = cfg_in(dir.clone())
             .with_shards(1)
             .with_retries(1)
             .with_stall_timeout(Duration::from_millis(40));
         let sup = supervise(
             &spec,
             &cfg,
-            |plan, attempt, journal, _hb| {
+            |plan, attempt, journal| {
                 if attempt == 0 {
-                    // Never heartbeats, never exits: a hang.
+                    // Never journals, never exits: a hang.
                     sh("sleep 30")
                 } else {
                     fill_journal(&spec, plan, journal);
                     sh("true")
                 }
             },
-            |_| {},
+            &TranscriptObserver::new(|_: &str| {}),
         )
         .expect("watchdog breaks the hang");
         assert_eq!(sup.shards[0].launches, 2);
@@ -850,11 +827,11 @@ mod tests {
     fn exhausted_retries_surface_the_failed_shard() {
         let spec = spec();
         let dir = tempdir("dead");
-        let cfg = quick_cfg(dir.clone()).with_shards(2).with_retries(1);
+        let cfg = cfg_in(dir.clone()).with_shards(2).with_retries(1);
         let err = supervise(
             &spec,
             &cfg,
-            |plan, _attempt, journal, _hb| {
+            |plan, _attempt, journal| {
                 if plan.index == 1 {
                     sh("exit 9")
                 } else {
@@ -862,7 +839,7 @@ mod tests {
                     sh("true")
                 }
             },
-            |_| {},
+            &TranscriptObserver::new(|_: &str| {}),
         )
         .expect_err("shard 1 must fail");
         match err {
@@ -884,21 +861,16 @@ mod tests {
     fn missing_worker_binary_fails_fast_without_burning_the_backoff_budget() {
         let spec = spec();
         let dir = tempdir("no-binary");
-        // A generous budget with a long backoff: under the old behavior
-        // (missing binary treated as a retryable failure) this run would
-        // sit through seconds of pointless backoff before dying.
-        let cfg = quick_cfg(dir.clone())
-            .with_shards(2)
-            .with_retries(10)
-            .with_backoff(Duration::from_secs(2), Duration::from_secs(2));
+        // A generous budget: a supervisor that treated a missing binary
+        // as retryable would sit through 50 + 100 + 200 + … ms of
+        // pointless backoff before dying.
+        let cfg = cfg_in(dir.clone()).with_shards(2).with_retries(10);
         let started = std::time::Instant::now();
         let err = supervise(
             &spec,
             &cfg,
-            |_plan, _attempt, _journal, _hb| {
-                Command::new("/nonexistent/mpdp-no-such-worker").spawn()
-            },
-            |_| {},
+            |_plan, _attempt, _journal| Command::new("/nonexistent/mpdp-no-such-worker").spawn(),
+            &TranscriptObserver::new(|_: &str| {}),
         )
         .expect_err("spawn must fail");
         match err {
@@ -918,12 +890,12 @@ mod tests {
     fn transient_spawn_errors_stay_on_the_retry_path() {
         let spec = spec();
         let dir = tempdir("transient-spawn");
-        let cfg = quick_cfg(dir.clone()).with_shards(1).with_retries(1);
+        let cfg = cfg_in(dir.clone()).with_shards(1).with_retries(1);
         let mut attempts = 0;
         let sup = supervise(
             &spec,
             &cfg,
-            |plan, attempt, journal, _hb| {
+            |plan, attempt, journal| {
                 attempts += 1;
                 if attempt == 0 {
                     // e.g. momentary fd/process exhaustion: worth retrying.
@@ -933,7 +905,7 @@ mod tests {
                     sh("true")
                 }
             },
-            |_| {},
+            &TranscriptObserver::new(|_: &str| {}),
         )
         .expect("retry succeeds after the transient spawn error");
         assert_eq!(attempts, 2);
@@ -948,11 +920,11 @@ mod tests {
     fn clean_exit_with_a_short_journal_counts_as_a_failure() {
         let spec = spec();
         let dir = tempdir("short");
-        let cfg = quick_cfg(dir.clone()).with_shards(1).with_retries(1);
+        let cfg = cfg_in(dir.clone()).with_shards(1).with_retries(1);
         let sup = supervise(
             &spec,
             &cfg,
-            |plan, attempt, journal, _hb| {
+            |plan, attempt, journal| {
                 if attempt == 0 {
                     // Journals all but the last cell, then lies with exit 0.
                     let partial = ShardPlan {
@@ -965,7 +937,7 @@ mod tests {
                 }
                 sh("true")
             },
-            |_| {},
+            &TranscriptObserver::new(|_: &str| {}),
         )
         .expect("retry completes the journal");
         assert_eq!(
@@ -988,7 +960,7 @@ mod tests {
         // journal shows up as one extra Incomplete? No — the relaunched
         // worker (fill_journal) completes the missing cells before exit,
         // so no organic failure occurs at all.
-        let cfg = quick_cfg(dir.clone())
+        let cfg = cfg_in(dir.clone())
             .with_shards(1)
             .with_retries(0)
             .with_chaos(ChaosPlan::new(1, 0xC0FFEE).with_tear());
@@ -996,7 +968,7 @@ mod tests {
         let sup = supervise(
             &spec,
             &cfg,
-            |plan, attempt, journal, _hb| {
+            |plan, attempt, journal| {
                 // First launch journals everything, then hangs: the chaos
                 // kill always lands mid-"run". The relaunch repairs the
                 // torn tail and exits cleanly.
@@ -1007,7 +979,7 @@ mod tests {
                     sh("true")
                 }
             },
-            |line| transcript.push(line.to_string()),
+            &TranscriptObserver::new(|line: &str| transcript.push(line.to_string())),
         )
         .expect("chaos victim recovers");
         assert_eq!(sup.chaos_kills, 1);
@@ -1031,23 +1003,28 @@ mod tests {
     fn journals_persist_for_resume_across_supervisor_restarts() {
         let spec = spec();
         let dir = tempdir("restart");
-        let cfg = quick_cfg(dir.clone()).with_shards(1).with_retries(0);
+        let cfg = cfg_in(dir.clone()).with_shards(1).with_retries(0);
         // First supervision run completes and leaves the journal behind.
         supervise(
             &spec,
             &cfg,
-            |plan, _a, journal, _hb| {
+            |plan, _a, journal| {
                 fill_journal(&spec, plan, journal);
                 sh("true")
             },
-            |_| {},
+            &TranscriptObserver::new(|_: &str| {}),
         )
         .expect("first run");
         // A second supervisor over the same dir needs no cell work at all:
         // its worker (a bare `true`) exits instantly and the journal
         // already covers the range.
-        let sup = supervise(&spec, &cfg, |_p, _a, _j, _hb| sh("true"), |_| {})
-            .expect("restart resumes from journals");
+        let sup = supervise(
+            &spec,
+            &cfg,
+            |_p, _a, _j| sh("true"),
+            &TranscriptObserver::new(|_: &str| {}),
+        )
+        .expect("restart resumes from journals");
         assert_eq!(sup.shards[0].launches, 1);
         assert_eq!(sup.report.cells.len(), spec.cell_count());
         let _ = std::fs::remove_dir_all(&dir);
@@ -1059,7 +1036,8 @@ mod tests {
         let dir = tempdir("records");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("j.mpdpj");
-        assert_eq!(journal_records(&path), 0, "missing file");
+        let count = || JournalTail::new(&path, &spec).count();
+        assert_eq!(count(), 0, "missing file");
         let plan = ShardPlan {
             index: 0,
             count: 1,
@@ -1067,13 +1045,163 @@ mod tests {
             end: 3,
         };
         fill_journal(&spec, &plan, &path);
-        assert_eq!(journal_records(&path), 3);
+        assert_eq!(count(), 3);
         assert!(tear_tail(&path));
-        assert_eq!(journal_records(&path), 2, "torn record no longer counts");
+        assert_eq!(count(), 2, "torn record no longer counts");
         // Sanity: the torn journal still opens and recovers the prefix.
         let j = Journal::open(&path, &spec).expect("recovery");
         assert_eq!(j.recovered().len(), 2);
         assert_eq!(spec_fingerprint(&spec), spec_fingerprint(&spec));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every cell of `spec`, run once up front so a stand-in worker can
+    /// append records at a chosen pace.
+    fn precomputed(spec: &SweepSpec) -> Vec<(CellSpec, CellResult)> {
+        spec.cells()
+            .into_iter()
+            .map(|cell| {
+                let result = run_cell(spec, &cell).expect("cell runs");
+                (cell, result)
+            })
+            .collect()
+    }
+
+    /// A stand-in worker process that runs until its stdin closes: the
+    /// returned handle is the only thing keeping it alive.
+    fn held_child() -> io::Result<(Child, ChildStdin)> {
+        let mut child = Command::new("sh")
+            .arg("-c")
+            .arg("cat >/dev/null")
+            .stdin(Stdio::piped())
+            .spawn()?;
+        let stdin = child.stdin.take().expect("piped stdin");
+        Ok((child, stdin))
+    }
+
+    /// Appends the records `journal` lacks, `spacing` apart — a worker
+    /// whose only output is its journal.
+    fn append_paced(
+        spec: &SweepSpec,
+        journal: &Path,
+        records: &[(CellSpec, CellResult)],
+        spacing: Duration,
+    ) {
+        let j = Journal::open(journal, spec).expect("journal opens");
+        let done = j.recovered().clone();
+        for (cell, result) in records.iter().filter(|(c, _)| !done.contains_key(&c.index)) {
+            std::thread::sleep(spacing);
+            j.append(spec.cell_stream(cell), result).expect("appends");
+        }
+    }
+
+    #[test]
+    fn a_journal_only_worker_is_never_stall_killed() {
+        let spec = spec();
+        let records = precomputed(&spec);
+        let dir = tempdir("journal-only");
+        let stall = Duration::from_millis(400);
+        // Appends land a fifth of the stall deadline apart, and the whole
+        // fill outlasts the deadline: only journal growth keeps it alive.
+        let spacing = stall / 5;
+        assert!(spacing * records.len() as u32 >= stall * 3 / 2);
+        let cfg = cfg_in(dir.clone())
+            .with_shards(1)
+            .with_retries(0)
+            .with_stall_timeout(stall);
+        let sup = std::thread::scope(|scope| {
+            supervise(
+                &spec,
+                &cfg,
+                |_plan, _attempt, journal| {
+                    let (child, stdin) = held_child()?;
+                    let journal = journal.to_path_buf();
+                    let (spec, records) = (&spec, &records);
+                    scope.spawn(move || {
+                        append_paced(spec, &journal, records, spacing);
+                        drop(stdin);
+                    });
+                    Ok(child)
+                },
+                &TranscriptObserver::new(|_: &str| {}),
+            )
+        })
+        .expect("journal growth keeps the worker alive");
+        assert_eq!(sup.shards[0].launches, 1);
+        assert!(sup.shards[0].failures.is_empty(), "{:?}", sup.shards[0]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn heartbeats_after_a_relaunch_count_the_whole_journal() {
+        let spec = spec();
+        let records = precomputed(&spec);
+        let dir = tempdir("relaunch-beats");
+        let cfg = cfg_in(dir.clone()).with_shards(1).with_retries(1);
+        let recorder = FleetRecorder::new();
+        let full = FleetEventKind::Heartbeat {
+            journaled: spec.cell_count(),
+        };
+        let sup = std::thread::scope(|scope| {
+            supervise(
+                &spec,
+                &cfg,
+                |plan, attempt, journal| {
+                    if attempt == 0 {
+                        // Journals 4 cells, then crashes.
+                        let partial = ShardPlan {
+                            end: plan.start + 4,
+                            ..*plan
+                        };
+                        fill_journal(&spec, &partial, journal);
+                        return sh("kill -9 $$");
+                    }
+                    let (child, stdin) = held_child()?;
+                    let journal = journal.to_path_buf();
+                    let (spec, records, recorder, full) = (&spec, &records, &recorder, &full);
+                    scope.spawn(move || {
+                        append_paced(spec, &journal, records, Duration::from_millis(30));
+                        // Exit once the supervisor has reported the full
+                        // journal (bounded, so a missing beat fails the
+                        // assertions below instead of hanging).
+                        let deadline = Instant::now() + Duration::from_secs(2);
+                        while Instant::now() < deadline
+                            && !recorder.events().iter().any(|e| e.kind == *full)
+                        {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        drop(stdin);
+                    });
+                    Ok(child)
+                },
+                &recorder,
+            )
+        })
+        .expect("the relaunch completes the shard");
+        assert_eq!(sup.shards[0].launches, 2);
+        let events = recorder.events();
+        let relaunch = events
+            .iter()
+            .position(|e| matches!(e.kind, FleetEventKind::ShardLaunched { launch: 2, .. }))
+            .expect("relaunched");
+        let after = &events[relaunch..];
+        let resumed = after
+            .iter()
+            .find_map(|e| match e.kind {
+                FleetEventKind::Resumed { cells } => Some(cells),
+                _ => None,
+            })
+            .expect("the relaunch resumes the crashed journal");
+        assert_eq!(resumed, 4);
+        let beats: Vec<usize> = after
+            .iter()
+            .filter_map(|e| match e.kind {
+                FleetEventKind::Heartbeat { journaled } => Some(journaled),
+                _ => None,
+            })
+            .collect();
+        assert!(beats.iter().all(|&b| b >= resumed), "{beats:?}");
+        assert_eq!(beats.last(), Some(&spec.cell_count()), "{beats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

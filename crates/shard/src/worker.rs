@@ -1,33 +1,30 @@
-//! The worker side of the shard protocol: run one shard's cells, journal
-//! every completion, and bump a heartbeat file so the supervisor can tell
-//! a slow shard from a dead one.
+//! The worker side of the shard protocol: run one shard's cells and
+//! journal every completion. The journal is the protocol — the
+//! supervisor reads its growth as progress and its contents as the
+//! shard's output.
 //!
 //! A worker is deliberately boring: it is the sweep executor
 //! ([`execute`]) over its cell range (panic isolation, one in-process
-//! retry, checkpoint journal) plus a heartbeat side channel.
-//! All of its crash tolerance lives in the journal — a worker that is
-//! SIGKILLed mid-cell leaves an fsynced prefix, and its replacement
-//! resumes from it. The heartbeat is advisory: failing to write it never
-//! fails the shard (the supervisor would just see a stall and restart a
-//! healthy worker, which is safe, merely wasteful).
+//! retry, checkpoint journal) plus a metrics side channel. All of its
+//! crash tolerance lives in the journal — a worker that is SIGKILLed
+//! mid-cell leaves an fsynced prefix, and its replacement resumes from
+//! it.
 //!
 //! ## Metrics side channel
 //!
 //! Worker processes share no memory with the supervisor, so cell-level
-//! telemetry (wall-latency histograms, retry counts) travels the same
-//! way the heartbeat does: as an advisory file next to the journal
-//! (`<journal>.metrics`, the
-//! [`snapshot_to_text`](mpdp_telemetry::snapshot_to_text) format),
-//! rewritten atomically (write-temp-then-rename) after every durable
-//! cell, so a kill mid-rewrite leaves the previous complete snapshot
-//! rather than a torn file. A relaunched worker preloads the
-//! previous snapshot, so counters survive crashes; the supervisor-side
-//! binary collects and [`merge`](mpdp_telemetry::FleetSnapshot::merge)s
-//! the per-shard files after the run. Histogram merges are exact, so the
-//! fleet totals are independent of shard count and crash history.
+//! telemetry (wall-latency histograms, retry counts) travels as an
+//! advisory file next to the journal (`<journal>.metrics`, the
+//! [`snapshot_to_text`] format), rewritten atomically
+//! (write-temp-then-rename) after every durable cell, so a kill
+//! mid-rewrite leaves the previous complete snapshot rather than a torn
+//! file. A relaunched worker preloads the previous snapshot, so counters
+//! survive crashes; the supervisor-side binary folds the per-shard files
+//! into the fleet snapshot with [`fleet_snapshot`] after the run.
+//! Histogram merges are exact, so the fleet totals are independent of
+//! shard count and crash history.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -35,9 +32,11 @@ use mpdp_sweep::{
     execute, CacheStats, CellCache, Journal, SweepError, SweepPlan, SweepRun, SweepSpec,
 };
 use mpdp_telemetry::{
-    snapshot_from_text, snapshot_to_text, FleetEvent, FleetEventKind, FleetObserver,
-    MetricsRegistry, NullFleetObserver,
+    snapshot_from_text, snapshot_to_text, FleetEvent, FleetEventKind, FleetObserver, FleetSnapshot,
+    MetricsRegistry,
 };
+
+use crate::supervisor::ShardReport;
 
 /// Worker-side knobs.
 #[derive(Debug, Clone)]
@@ -48,10 +47,6 @@ pub struct WorkerConfig {
     /// chaos tests use it to keep workers alive long enough to be killed
     /// mid-run deterministically.
     pub throttle: Duration,
-    /// Persist cell-level telemetry to `<journal>.metrics` after every
-    /// durable cell (advisory, like the heartbeat). Disable for
-    /// benchmarking the true zero-telemetry path.
-    pub metrics: bool,
     /// Content-addressed cell-result cache directory, shared by every
     /// worker of the fleet (per-process segment files — no locking).
     /// Advisory: a cache that cannot be opened degrades to uncached
@@ -64,15 +59,15 @@ impl Default for WorkerConfig {
         WorkerConfig {
             threads: 1,
             throttle: Duration::ZERO,
-            metrics: true,
             cache_dir: None,
         }
     }
 }
 
 /// The metrics snapshot path for a shard journal: `<journal>.metrics`
-/// beside it. Shared by workers (writing) and supervisors (collecting).
-pub fn metrics_path(journal: &Path) -> PathBuf {
+/// beside it. Shared by workers (writing) and [`fleet_snapshot`]
+/// (collecting).
+fn metrics_path(journal: &Path) -> PathBuf {
     let mut name = journal
         .file_name()
         .map(|n| n.to_os_string())
@@ -81,15 +76,25 @@ pub fn metrics_path(journal: &Path) -> PathBuf {
     journal.with_file_name(name)
 }
 
-/// Writes `count` to the heartbeat file. Advisory — errors are ignored
-/// (see the module docs for why that is safe).
-fn beat(path: &Path, count: u64) {
-    let _ = std::fs::write(path, format!("{count}\n"));
+/// The fleet snapshot of a supervised run: the supervisor's own
+/// `registry` merged with the metrics sidecar every shard's workers
+/// persisted next to its journal. The sidecars are advisory: a missing
+/// or unparsable one is skipped, never fatal.
+pub fn fleet_snapshot(registry: &MetricsRegistry, shards: &[ShardReport]) -> FleetSnapshot {
+    let mut fleet = registry.snapshot();
+    for shard in shards {
+        if let Ok(text) = std::fs::read_to_string(metrics_path(&shard.journal)) {
+            if let Ok(worker) = snapshot_from_text(&text) {
+                fleet.merge(&worker);
+            }
+        }
+    }
+    fleet
 }
 
 /// An observer that folds events into a registry and rewrites the
-/// advisory snapshot file after every durable completion or resume —
-/// the fsync-free analogue of the heartbeat.
+/// advisory snapshot file after every durable completion or resume, then
+/// applies the chaos throttle after each completion.
 struct PersistedMetrics<'a> {
     registry: &'a MetricsRegistry,
     path: &'a Path,
@@ -100,6 +105,8 @@ struct PersistedMetrics<'a> {
     /// [`FleetEventKind::CacheReport`] carries deltas — the metrics fold
     /// adds report events, and running totals would double-count.
     reported: Mutex<CacheStats>,
+    /// [`WorkerConfig::throttle`].
+    throttle: Duration,
 }
 
 /// Rewrites the sidecar atomically: write the full snapshot to a `.tmp`
@@ -109,7 +116,7 @@ struct PersistedMetrics<'a> {
 /// the relaunch would have to discard, resetting `cells_executed` to
 /// zero. The in-window cell itself is re-accounted as a `CellResumed` on
 /// relaunch, so no cell goes missing from the merged fleet counters.
-/// Still advisory: errors are ignored, like the heartbeat's.
+/// Still advisory: errors are ignored.
 fn persist_snapshot(path: &Path, text: &str) {
     let mut tmp_name = path.as_os_str().to_os_string();
     tmp_name.push(".tmp");
@@ -154,19 +161,19 @@ impl FleetObserver for PersistedMetrics<'_> {
             }
             persist_snapshot(self.path, &snapshot_to_text(&self.registry.snapshot()));
         }
+        // The throttle pauses after the cell is durable and accounted, so
+        // a kill landing in the pause loses nothing.
+        if matches!(event.kind, FleetEventKind::CellDone { .. }) && !self.throttle.is_zero() {
+            std::thread::sleep(self.throttle);
+        }
     }
 }
 
 /// Runs the cells `range` of `spec`, journaling into `journal` and
-/// heartbeating into `heartbeat`. Returns the shard bookkeeping on
-/// success; the caller (the `sweep_shard worker` subcommand) maps errors
-/// to a nonzero exit the supervisor observes and retries.
-///
-/// The heartbeat protocol: write `0` immediately (proof of launch), then
-/// the cumulative completed-cell count after every durable completion.
-/// The supervisor declares a stall only when the file's *content* stops
-/// changing, so any forward progress — however slow — keeps a worker
-/// alive.
+/// persisting cell telemetry to its `<journal>.metrics` sidecar. Returns the
+/// shard bookkeeping on success; the caller (a binary's hidden worker
+/// mode) maps errors to a nonzero exit the supervisor observes and
+/// retries.
 ///
 /// # Errors
 ///
@@ -176,11 +183,8 @@ pub fn run_worker(
     spec: &SweepSpec,
     range: std::ops::Range<usize>,
     journal: &Path,
-    heartbeat: &Path,
     cfg: &WorkerConfig,
 ) -> Result<SweepRun, SweepError> {
-    beat(heartbeat, 0);
-    let completed = AtomicU64::new(0);
     // The cell cache is advisory end to end: an unopenable directory
     // degrades to uncached execution (results are identical either way).
     let cache = cfg
@@ -193,46 +197,35 @@ pub fn run_worker(
         cache: cache.as_ref(),
         max_cells: None,
     };
-    let throttle = cfg.throttle;
-    let progress = |_cell: usize| {
-        let n = completed.fetch_add(1, Ordering::Relaxed) + 1;
-        beat(heartbeat, n);
-        if !throttle.is_zero() {
-            std::thread::sleep(throttle);
-        }
-    };
-    if cfg.metrics {
-        let snapshot_path = metrics_path(journal);
-        // Resume the counters a previous (killed) launch persisted; a
-        // missing or torn snapshot file starts fresh — advisory data
-        // must never fail the shard.
-        let registry = match std::fs::read_to_string(&snapshot_path) {
-            Ok(text) => match snapshot_from_text(&text) {
-                Ok(snapshot) => MetricsRegistry::preloaded(snapshot),
-                Err(_) => MetricsRegistry::new(),
-            },
+    let snapshot_path = metrics_path(journal);
+    // Resume the counters a previous (killed) launch persisted; a
+    // missing or torn snapshot file starts fresh — advisory data must
+    // never fail the shard.
+    let registry = match std::fs::read_to_string(&snapshot_path) {
+        Ok(text) => match snapshot_from_text(&text) {
+            Ok(snapshot) => MetricsRegistry::preloaded(snapshot),
             Err(_) => MetricsRegistry::new(),
-        };
-        // Reconcile against the journal: the sidecar is persisted *after*
-        // the journal append it accounts, so a SIGKILL in that window
-        // leaves the snapshot one cell behind the journal. The journal's
-        // recovered count is ground truth for durably completed work;
-        // floor the executed counter with it so kill-only chaos can never
-        // undercount. (Best-effort: an unreadable journal changes
-        // nothing — the shard itself will surface real journal errors.)
-        if let Ok(j) = Journal::open(journal, spec) {
-            registry.floor_cells_executed(j.recovered().len() as u64);
-        }
-        let observer = PersistedMetrics {
-            registry: &registry,
-            path: &snapshot_path,
-            cache: cache.as_ref(),
-            reported: Mutex::new(CacheStats::default()),
-        };
-        execute(spec, cfg.threads, &plan, &observer, progress)
-    } else {
-        execute(spec, cfg.threads, &plan, &NullFleetObserver, progress)
+        },
+        Err(_) => MetricsRegistry::new(),
+    };
+    // Reconcile against the journal: the sidecar is persisted *after*
+    // the journal append it accounts, so a SIGKILL in that window leaves
+    // the snapshot one cell behind the journal. The journal's recovered
+    // count is ground truth for durably completed work; floor the
+    // executed counter with it so kill-only chaos can never undercount.
+    // (Best-effort: an unreadable journal changes nothing — the shard
+    // itself will surface real journal errors.)
+    if let Ok(j) = Journal::open(journal, spec) {
+        registry.floor_cells_executed(j.recovered().len() as u64);
     }
+    let observer = PersistedMetrics {
+        registry: &registry,
+        path: &snapshot_path,
+        cache: cache.as_ref(),
+        reported: Mutex::new(CacheStats::default()),
+        throttle: cfg.throttle,
+    };
+    execute(spec, cfg.threads, &plan, &observer)
 }
 
 #[cfg(test)]
@@ -248,21 +241,18 @@ mod tests {
     }
 
     #[test]
-    fn worker_journals_its_range_and_heartbeats_every_cell() {
+    fn worker_journals_its_range_and_resumes_from_it() {
         let mut spec = SweepSpec::figure4();
         spec.proc_counts = vec![2];
         spec.utilizations = vec![0.4, 0.5];
         let dir = tempdir("happy");
         let journal = dir.join("shard.mpdpj");
-        let heartbeat = dir.join("shard.hb");
-        let run = run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
-            .expect("worker completes");
+        let run =
+            run_worker(&spec, 0..2, &journal, &WorkerConfig::default()).expect("worker completes");
         assert_eq!((run.report.cells.len(), run.resumed), (2, 0));
-        let beats = std::fs::read_to_string(&heartbeat).expect("heartbeat written");
-        assert_eq!(beats, "2\n", "final heartbeat is the completed count");
         // A relaunch resumes entirely from the journal.
-        let rerun = run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
-            .expect("relaunch resumes");
+        let rerun =
+            run_worker(&spec, 0..2, &journal, &WorkerConfig::default()).expect("relaunch resumes");
         assert_eq!((rerun.report.cells.len(), rerun.resumed), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -274,9 +264,7 @@ mod tests {
         spec.utilizations = vec![0.4, 0.5];
         let dir = tempdir("metrics");
         let journal = dir.join("shard.mpdpj");
-        let heartbeat = dir.join("shard.hb");
-        run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
-            .expect("worker completes");
+        run_worker(&spec, 0..2, &journal, &WorkerConfig::default()).expect("worker completes");
         let path = metrics_path(&journal);
         let text = std::fs::read_to_string(&path).expect("snapshot written");
         let snapshot = snapshot_from_text(&text).expect("snapshot parses");
@@ -285,8 +273,7 @@ mod tests {
         assert_eq!(snapshot.cell_wall_us.count(), 2);
         // A relaunch resumes from the journal and *extends* the previous
         // snapshot rather than resetting it.
-        run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
-            .expect("relaunch resumes");
+        run_worker(&spec, 0..2, &journal, &WorkerConfig::default()).expect("relaunch resumes");
         let text = std::fs::read_to_string(&path).expect("snapshot rewritten");
         let resumed = snapshot_from_text(&text).expect("snapshot parses");
         assert_eq!(resumed.cells_executed, 2, "no re-execution");
@@ -313,9 +300,7 @@ mod tests {
         spec.utilizations = vec![0.4, 0.5];
         let dir = tempdir("kill-window");
         let journal = dir.join("shard.mpdpj");
-        let heartbeat = dir.join("shard.hb");
-        run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
-            .expect("worker completes");
+        run_worker(&spec, 0..2, &journal, &WorkerConfig::default()).expect("worker completes");
         let path = metrics_path(&journal);
         let text = std::fs::read_to_string(&path).expect("snapshot written");
         let tmp = {
@@ -330,8 +315,7 @@ mod tests {
         // `.tmp` sits beside it. Relaunch must preload the live file
         // intact (no under-count) and keep working.
         std::fs::write(&tmp, "garbage left by a kill before rename").expect("plant stale tmp");
-        run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
-            .expect("relaunch resumes");
+        run_worker(&spec, 0..2, &journal, &WorkerConfig::default()).expect("relaunch resumes");
         let resumed = snapshot_from_text(&std::fs::read_to_string(&path).expect("rewritten"))
             .expect("sidecar still parses");
         assert_eq!(
@@ -356,7 +340,7 @@ mod tests {
             );
         }
         std::fs::write(&path, &text[..text.len() / 2]).expect("plant torn sidecar");
-        run_worker(&spec, 0..2, &journal, &heartbeat, &WorkerConfig::default())
+        run_worker(&spec, 0..2, &journal, &WorkerConfig::default())
             .expect("relaunch after torn sidecar");
         let rebuilt = snapshot_from_text(&std::fs::read_to_string(&path).expect("rewritten"))
             .expect("sidecar parses again");
@@ -378,8 +362,7 @@ mod tests {
             ..WorkerConfig::default()
         };
         let cold_journal = dir.join("cold.mpdpj");
-        run_worker(&spec, 0..2, &cold_journal, &dir.join("cold.hb"), &cfg)
-            .expect("cold worker completes");
+        run_worker(&spec, 0..2, &cold_journal, &cfg).expect("cold worker completes");
         let cold = snapshot_from_text(
             &std::fs::read_to_string(metrics_path(&cold_journal)).expect("cold sidecar"),
         )
@@ -389,8 +372,7 @@ mod tests {
         // A fresh journal (a brand-new run, not a resume) over the same
         // spec answers every cell from the shared cache directory.
         let warm_journal = dir.join("warm.mpdpj");
-        let run = run_worker(&spec, 0..2, &warm_journal, &dir.join("warm.hb"), &cfg)
-            .expect("warm worker completes");
+        let run = run_worker(&spec, 0..2, &warm_journal, &cfg).expect("warm worker completes");
         assert_eq!(
             run.resumed, 0,
             "cache hits count as executed cells, not journal resumes"
@@ -418,22 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_can_be_disabled() {
-        let mut spec = SweepSpec::figure4();
-        spec.proc_counts = vec![2];
-        spec.utilizations = vec![0.4];
-        let dir = tempdir("no-metrics");
-        let journal = dir.join("shard.mpdpj");
-        let cfg = WorkerConfig {
-            metrics: false,
-            ..WorkerConfig::default()
-        };
-        run_worker(&spec, 0..1, &journal, &dir.join("shard.hb"), &cfg).expect("worker completes");
-        assert!(!metrics_path(&journal).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn worker_reports_a_bad_range_as_a_typed_error() {
         let spec = SweepSpec::figure4();
         let dir = tempdir("bad-range");
@@ -441,7 +407,6 @@ mod tests {
             &spec,
             0..spec.cell_count() + 1,
             &dir.join("j"),
-            &dir.join("hb"),
             &WorkerConfig::default(),
         )
         .expect_err("range exceeds grid");

@@ -42,11 +42,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use mpdp_core::hash::fnv1a;
+
 use crate::engine::{CellResult, StackResult};
 use crate::error::SweepError;
 use crate::fingerprint::{cell_fingerprint, ENGINE_VERSION};
 use crate::journal::{format_stack, parse_stack};
-use crate::linejournal::{fnv1a, verify_checksum, LineJournal};
+use crate::linejournal::{scan, LineJournal};
 use crate::spec::{CellSpec, SweepSpec};
 
 /// Magic + version tag of cache segment headers.
@@ -178,18 +180,6 @@ fn list_segments(dir: &Path) -> Result<Vec<Segment>, SweepError> {
     Ok(segments)
 }
 
-/// Counts the records in a segment file about to be evicted (complete
-/// lines past the header) — advisory accounting, so a best-effort read.
-fn count_records(path: &Path) -> u64 {
-    std::fs::read_to_string(path).map_or(0, |text| {
-        (text
-            .split_inclusive('\n')
-            .filter(|l| l.ends_with('\n'))
-            .count() as u64)
-            .saturating_sub(1)
-    })
-}
-
 impl CellCache {
     /// Opens (or creates) the cache directory with the default size cap.
     ///
@@ -224,36 +214,30 @@ impl CellCache {
         let mut evicted_records = 0u64;
         while total > cap_bytes && !segments.is_empty() {
             let victim = segments.remove(0);
-            evicted_records += count_records(&victim.path);
+            // Advisory accounting, so a best-effort read.
+            evicted_records += std::fs::read_to_string(&victim.path)
+                .map_or(0, |text| scan(&text, CACHE_MAGIC).bodies.len() as u64);
             let _ = std::fs::remove_file(&victim.path);
             total -= victim.len;
         }
 
         let fingerprint = engine_fingerprint();
-        let expected_header = format!("{CACHE_MAGIC} fp={fingerprint:016x}\n");
         let mut entries = HashMap::new();
         let mut loaded_bytes = 0u64;
         for segment in segments.iter().filter(|s| s.path != own) {
             let Ok(text) = std::fs::read_to_string(&segment.path) else {
                 continue;
             };
-            let mut lines = text.split_inclusive('\n');
-            match lines.next() {
-                Some(head) if head == expected_header => {}
-                _ => continue, // different engine version or torn header
+            let scan = scan(&text, CACHE_MAGIC);
+            if scan.fingerprint != Some(fingerprint) {
+                continue; // different engine version or torn header
             }
-            loaded_bytes += expected_header.len() as u64;
-            for line in lines {
-                if !line.ends_with('\n') {
-                    break; // torn tail
-                }
-                let Some((digest, entry)) =
-                    verify_checksum(line.trim_end()).and_then(parse_cache_body)
-                else {
-                    break; // corrupt record: stop, as recovery would
+            loaded_bytes += scan.len;
+            for body in scan.bodies {
+                let Some((digest, entry)) = parse_cache_body(body) else {
+                    break; // unparsable record: stop, as recovery would
                 };
                 entries.insert(digest, entry);
-                loaded_bytes += line.len() as u64;
             }
         }
 

@@ -33,8 +33,8 @@
 //! of tearing down the fan-out. Completed cells are appended to the
 //! journal (fsynced) as they finish, and a later run against the same spec
 //! skips them ([`CellOutcome::Resumed`]). A hung cell is stopped one level
-//! up: the shard supervisor's heartbeat stall-kill ends the worker
-//! process, and its relaunch resumes from the journal.
+//! up: the shard supervisor kills a worker whose journal stops growing,
+//! and its relaunch resumes from the journal.
 //!
 //! Wall-clock time is measured for the caller's benefit but deliberately
 //! kept out of every export.
@@ -74,10 +74,10 @@ pub struct SweepPlan<'a> {
     /// they finish; cells already in the journal are not re-run.
     pub journal: Option<PathBuf>,
     /// Content-addressed cell-result cache consulted before each pending
-    /// cell: a hit skips both simulators but is still journaled, still
-    /// emits `CellDone` and still reports progress — downstream, a cached
-    /// cell is indistinguishable from an executed one. Cells recovered
-    /// from the journal never consult the cache.
+    /// cell: a hit skips both simulators but is still journaled and still
+    /// emits `CellDone` — downstream, a cached cell is indistinguishable
+    /// from an executed one. Cells recovered from the journal never
+    /// consult the cache.
     pub cache: Option<&'a CellCache>,
     /// Stop after executing this many cells (journal resumes do not
     /// count). The run then returns [`SweepError::Interrupted`] with the
@@ -122,21 +122,13 @@ pub struct SweepRun {
 ///
 /// Same as [`execute`] with the default plan.
 pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepReport, SweepError> {
-    execute(
-        spec,
-        workers,
-        &SweepPlan::default(),
-        &NullFleetObserver,
-        |_| {},
-    )
-    .map(|run| run.report)
+    execute(spec, workers, &SweepPlan::default(), &NullFleetObserver).map(|run| run.report)
 }
 
 /// Runs the cells `plan` selects over `workers` threads. `observer`
 /// receives typed cell events (durable completions with wall latency,
 /// retries, journal resumes); with [`NullFleetObserver`] every emission
-/// compiles out. `progress` is called with the cell index after each cell
-/// is durably complete — shard workers use it to bump their heartbeat file.
+/// compiles out.
 ///
 /// # Errors
 ///
@@ -149,18 +141,16 @@ pub fn run_sweep(spec: &SweepSpec, workers: usize) -> Result<SweepReport, SweepE
 ///   stop stay journaled;
 /// - [`SweepError::Interrupted`] when `max_cells` stops the run before the
 ///   range is covered (`completed`/`total` count cells of the range).
-pub fn execute<O, P>(
+pub fn execute<O>(
     spec: &SweepSpec,
     workers: usize,
     plan: &SweepPlan<'_>,
     observer: &O,
-    progress: P,
 ) -> Result<SweepRun, SweepError>
 where
     O: FleetObserver + Sync,
-    P: Fn(usize) + Sync,
 {
-    execute_with(spec, workers, plan, observer, progress, |_| {})
+    execute_with(spec, workers, plan, observer, |_| {})
 }
 
 /// [`execute`] calling `inject` with the cell at the start of every
@@ -170,17 +160,15 @@ where
 /// # Errors
 ///
 /// Same as [`execute`].
-pub fn execute_with<O, P, I>(
+pub fn execute_with<O, I>(
     spec: &SweepSpec,
     workers: usize,
     plan: &SweepPlan<'_>,
     observer: &O,
-    progress: P,
     inject: I,
 ) -> Result<SweepRun, SweepError>
 where
     O: FleetObserver + Sync,
-    P: Fn(usize) + Sync,
     I: Fn(&CellSpec) + Sync,
 {
     let start = Instant::now();
@@ -286,16 +274,11 @@ where
                         if let Some(j) = &journal {
                             j.append(spec.cell_stream(cell), &result)?;
                         }
-                        // Telemetry before the progress hook: the event
-                        // marks the durable completion, and the hook may
-                        // block (the shard worker's throttle sleeps in
-                        // it) — a kill landing there must not swallow it.
                         emit(observer, start, || FleetEventKind::CellDone {
                             cell: cell.index,
                             wall,
                             attempts: failed,
                         });
-                        progress(cell.index);
                         let outcome = match failed {
                             0 => CellOutcome::Ok,
                             attempts => CellOutcome::Retried { attempts },

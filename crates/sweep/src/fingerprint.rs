@@ -24,6 +24,7 @@
 //!   draw from). Editing one grid-axis value therefore invalidates only
 //!   the cells that read that value; renaming a knob invalidates none.
 
+use mpdp_core::hash::{fnv1a_extend, FNV1A_OFFSET};
 use mpdp_core::policy::{DegradationPolicy, OverrunAction};
 use mpdp_core::time::Cycles;
 use mpdp_faults::FaultPlan;
@@ -50,14 +51,11 @@ pub(crate) struct Digest(u64);
 
 impl Digest {
     pub(crate) fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(FNV1A_OFFSET)
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 
     pub(crate) fn u64(&mut self, v: u64) {

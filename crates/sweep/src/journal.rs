@@ -25,7 +25,9 @@
 //! byte-identical to an uninterrupted run's.
 
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
+use std::path::{Path, PathBuf};
 
 use mpdp_core::time::Cycles;
 use mpdp_sim::stats::{ResponseAccumulator, SurvivalStats};
@@ -33,21 +35,11 @@ use mpdp_sim::stats::{ResponseAccumulator, SurvivalStats};
 use crate::engine::{CellResult, StackResult};
 use crate::error::SweepError;
 use crate::fingerprint::spec_fingerprint;
-use crate::linejournal::{verify_checksum, LineJournal, LineJournalError};
+use crate::linejournal::{scan, scan_records, LineJournal, LineJournalError};
 use crate::spec::SweepSpec;
 
 /// Magic + version tag of the journal header line.
 pub(crate) const MAGIC: &str = "MPDPJ1";
-
-/// Parses a journal header line (no trailing newline) into its spec
-/// fingerprint, `None` if the line is not a well-formed header.
-pub(crate) fn parse_header(line: &str) -> Option<u64> {
-    let rest = line.strip_prefix(MAGIC)?.strip_prefix(" fp=")?;
-    if rest.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(rest, 16).ok()
-}
 
 /// An open checkpoint journal: the records recovered from disk plus an
 /// append handle. Appends are serialized through an internal mutex and
@@ -125,6 +117,62 @@ impl Journal {
                 path: e.path,
                 detail: format!("cell {}: {}", result.cell.index, e.detail),
             })
+    }
+}
+
+/// A read-only count of the records in a journal file that another
+/// process is appending to — how a supervisor follows a worker's progress
+/// without opening (and so truncating) its journal. Each
+/// [`count`](Self::count) reads only the bytes appended since the last,
+/// so following a journal to the end reads it once, not once per record.
+#[derive(Debug)]
+pub struct JournalTail {
+    path: PathBuf,
+    fingerprint: u64,
+    /// Byte length of the verified prefix counted so far; zero until a
+    /// header for the spec has been read.
+    verified: u64,
+    records: usize,
+}
+
+impl JournalTail {
+    /// Follows the journal at `path`, written for `spec`.
+    pub fn new(path: &Path, spec: &SweepSpec) -> Self {
+        JournalTail {
+            path: path.to_path_buf(),
+            fingerprint: spec_fingerprint(spec),
+            verified: 0,
+            records: 0,
+        }
+    }
+
+    /// The checksum-verified records now in the file, under a header for
+    /// the spec — the records recovery would keep from a journal its
+    /// workers wrote. A missing or unreadable file, or another spec's
+    /// journal, counts zero. A file shorter than the prefix already
+    /// counted (recovery truncated it) is counted afresh.
+    pub fn count(&mut self) -> usize {
+        let mut text = String::new();
+        let read = File::open(&self.path).and_then(|mut file| {
+            if file.metadata()?.len() < self.verified {
+                (self.verified, self.records) = (0, 0);
+            }
+            file.seek(SeekFrom::Start(self.verified))?;
+            file.read_to_string(&mut text)
+        });
+        if read.is_err() {
+            (self.verified, self.records) = (0, 0);
+        } else if self.verified == 0 {
+            let scan = scan(&text, MAGIC);
+            if scan.fingerprint == Some(self.fingerprint) {
+                (self.verified, self.records) = (scan.len, scan.bodies.len());
+            }
+        } else {
+            let (bodies, len) = scan_records(&text);
+            self.verified += len;
+            self.records += bodies.len();
+        }
+        self.records
     }
 }
 
@@ -260,22 +308,11 @@ fn format_record_body(stream: u64, result: &CellResult) -> String {
     )
 }
 
-/// Parses one full record line (with its ` #<16-hex>` checksum suffix, no
-/// trailing newline) against a pre-enumerated cell list — the entry point
-/// for readers that scan journal files without a [`LineJournal`] (the
-/// merge). Returns `None` for any malformed, checksum-failing, or
-/// spec-mismatched record — the caller truncates (or stops reading) there.
-pub(crate) fn parse_record_with(
-    line: &str,
-    spec: &SweepSpec,
-    cells: &[crate::spec::CellSpec],
-) -> Option<(usize, CellResult)> {
-    parse_record_body(verify_checksum(line)?, spec, cells)
-}
-
 /// Parses one checksum-verified record body against a pre-enumerated cell
-/// list — the domain half of record validation.
-fn parse_record_body(
+/// list — the domain half of record validation. Returns `None` for any
+/// malformed or spec-mismatched record; the caller truncates (or stops
+/// reading) there.
+pub(crate) fn parse_record_body(
     body: &str,
     spec: &SweepSpec,
     cells: &[crate::spec::CellSpec],
@@ -320,7 +357,6 @@ fn parse_record_body(
 mod tests {
     use super::*;
     use crate::engine::run_cell;
-    use crate::linejournal::fnv1a;
     use crate::spec::{ArrivalSpec, Knobs, WorkloadSpec};
     use std::fs::OpenOptions;
     use std::io::Write;
@@ -354,8 +390,7 @@ mod tests {
         let result = run_cell(&spec, &cells[0]).expect("cell runs");
         let stream = spec.cell_stream(&cells[0]);
         let body = format_record_body(stream, &result);
-        let line = format!("{body} #{:016x}", fnv1a(body.as_bytes()));
-        let (index, parsed) = parse_record_with(&line, &spec, &cells).expect("parses");
+        let (index, parsed) = parse_record_body(&body, &spec, &cells).expect("parses");
         assert_eq!(index, 0);
         assert_eq!(parsed, result);
     }

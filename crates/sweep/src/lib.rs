@@ -73,7 +73,7 @@ pub use engine::{
 pub use error::SweepError;
 pub use executor::{execute, execute_with, run_sweep, CellOutcome, SweepPlan, SweepRun};
 pub use fingerprint::{cell_fingerprint, spec_fingerprint, ENGINE_VERSION};
-pub use journal::Journal;
+pub use journal::{Journal, JournalTail};
 pub use linejournal::{LineJournal, LineJournalError};
 pub use merge::{merge_journal_files, read_shard_journal, MergeError};
 pub use report::{cells_csv, find_cell, group_summaries, report_json, summary_csv, GroupSummary};

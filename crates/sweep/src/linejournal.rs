@@ -24,16 +24,81 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// FNV-1a over a byte string; the journal's fingerprint and record
-/// checksum. Not cryptographic — it detects torn writes and accidental
-/// configuration drift, which is all a local checkpoint needs.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+use mpdp_core::hash::fnv1a;
+
+/// Bytes a record line adds to its body: ` #`, 16 hex digits, newline.
+const RECORD_OVERHEAD: u64 = 19;
+
+/// What one read-only pass over a line-journal file found. This is the
+/// format's one reader: [`LineJournal::open`] recovery, the shard merge,
+/// the cell cache's foreign segments and the record counters all see
+/// exactly the records it accepts.
+pub(crate) struct Scan<'a> {
+    /// The header fingerprint, when the first line is a complete
+    /// `<magic> fp=<16-hex>` header.
+    pub(crate) fingerprint: Option<u64>,
+    /// The checksum-verified record bodies in file order, up to the
+    /// first torn or failing line; empty without a header.
+    pub(crate) bodies: Vec<&'a str>,
+    /// Byte length of the header plus those records: where recovery
+    /// truncates.
+    pub(crate) len: u64,
+}
+
+/// Scans the text of a line journal written with `magic`. Never fails:
+/// whatever is not a header or a verified record ends the scan.
+pub(crate) fn scan<'a>(text: &'a str, magic: &str) -> Scan<'a> {
+    let head = text.split_inclusive('\n').next().unwrap_or("");
+    let fingerprint = head
+        .strip_suffix('\n')
+        .and_then(|h| h.strip_prefix(magic)?.strip_prefix(" fp="))
+        .and_then(parse_hex16);
+    let (bodies, len) = match fingerprint {
+        Some(_) => {
+            let (bodies, len) = scan_records(&text[head.len()..]);
+            (bodies, head.len() as u64 + len)
+        }
+        None => (Vec::new(), 0),
+    };
+    Scan {
+        fingerprint,
+        bodies,
+        len,
     }
-    hash
+}
+
+/// The record half of [`scan`]: the checksum-verified record bodies at
+/// the start of `text`, which begins at a record boundary, up to the
+/// first torn or failing line, and their byte length. A reader following
+/// a file that another process appends to continues here from the
+/// length it already verified.
+pub(crate) fn scan_records(text: &str) -> (Vec<&str>, u64) {
+    let mut bodies = Vec::new();
+    let mut len = 0;
+    for line in text.split_inclusive('\n') {
+        let Some(body) = line.strip_suffix('\n').and_then(verify_checksum) else {
+            break;
+        };
+        bodies.push(body);
+        len += line.len() as u64;
+    }
+    (bodies, len)
+}
+
+/// Exactly 16 lowercase hex digits — the only form the writer emits.
+fn parse_hex16(hex: &str) -> Option<u64> {
+    if hex.len() != 16 || !hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return None;
+    }
+    u64::from_str_radix(hex, 16).ok()
+}
+
+/// Splits a record line (no newline) into its body, verifying the
+/// ` #<16-hex>` checksum suffix. `None` if the suffix is missing,
+/// malformed, or wrong.
+fn verify_checksum(line: &str) -> Option<&str> {
+    let (body, crc) = line.rsplit_once(" #")?;
+    (parse_hex16(crc)? == fnv1a(body.as_bytes())).then_some(body)
 }
 
 /// Why a [`LineJournal`] could not be opened or written.
@@ -62,9 +127,6 @@ pub struct LineJournal {
     path: PathBuf,
     file: Mutex<File>,
     header_len: u64,
-    /// On-disk byte length of each recovered record line (including the
-    /// checksum suffix and newline), for [`truncate_to`](Self::truncate_to).
-    spans: Vec<u64>,
     recovered: Vec<String>,
 }
 
@@ -99,17 +161,19 @@ impl LineJournal {
         file.read_to_string(&mut contents)
             .map_err(|e| err(format!("cannot read: {e}")))?;
 
-        let mut recovered = Vec::new();
-        let mut spans = Vec::new();
-        if contents.is_empty() {
-            file.write_all(header.as_bytes())
-                .map_err(|e| err(format!("cannot write header: {e}")))?;
-            file.sync_data()
-                .map_err(|e| err(format!("cannot sync: {e}")))?;
+        let scan = scan(&contents, magic);
+        if scan.fingerprint == Some(fingerprint) {
+            // A torn final write loses one record, never the file.
+            if scan.len < contents.len() as u64 {
+                file.set_len(scan.len)
+                    .map_err(|e| err(format!("cannot truncate recovered tail: {e}")))?;
+            }
+            file.seek(SeekFrom::End(0))
+                .map_err(|e| err(format!("cannot seek: {e}")))?;
         } else if !contents.contains('\n') && header.starts_with(&contents) {
-            // A kill landed mid-header-write: the file holds a strict
-            // prefix of the expected header. Nothing was journaled yet, so
-            // reset the file rather than reject it as a different writer.
+            // A new file, or a kill landed mid-header-write: nothing was
+            // journaled yet, so (re)write the header rather than reject
+            // the file as a different writer's.
             file.set_len(0)
                 .map_err(|e| err(format!("cannot reset torn header: {e}")))?;
             file.seek(SeekFrom::Start(0))
@@ -119,43 +183,17 @@ impl LineJournal {
             file.sync_data()
                 .map_err(|e| err(format!("cannot sync: {e}")))?;
         } else {
-            let mut lines = contents.split_inclusive('\n');
-            let head = lines.next().unwrap_or("");
-            if head.trim_end() != header.trim_end() {
-                return Err(err(format!(
-                    "fingerprint mismatch (journal was written for a different \
-                     configuration); expected header `{}`",
-                    header.trim_end()
-                )));
-            }
-            // Recover records until the first torn or checksum-failing
-            // line, then truncate there: a torn final write loses one
-            // record, never the file.
-            let mut good = head.len() as u64;
-            for line in lines {
-                if !line.ends_with('\n') {
-                    break; // torn tail
-                }
-                let Some(body) = verify_checksum(line.trim_end()) else {
-                    break;
-                };
-                recovered.push(body.to_string());
-                spans.push(line.len() as u64);
-                good += line.len() as u64;
-            }
-            if good < contents.len() as u64 {
-                file.set_len(good)
-                    .map_err(|e| err(format!("cannot truncate recovered tail: {e}")))?;
-            }
-            file.seek(SeekFrom::End(0))
-                .map_err(|e| err(format!("cannot seek: {e}")))?;
+            return Err(err(format!(
+                "fingerprint mismatch (journal was written for a different \
+                 configuration); expected header `{}`",
+                header.trim_end()
+            )));
         }
         Ok(LineJournal {
             path: path.to_path_buf(),
             file: Mutex::new(file),
             header_len: header.len() as u64,
-            spans,
-            recovered,
+            recovered: scan.bodies.iter().map(|body| body.to_string()).collect(),
         })
     }
 
@@ -187,14 +225,17 @@ impl LineJournal {
             path: self.path.display().to_string(),
             detail,
         };
-        let len = self.header_len + self.spans[..keep].iter().sum::<u64>();
+        let len = self.header_len
+            + self.recovered[..keep]
+                .iter()
+                .map(|body| body.len() as u64 + RECORD_OVERHEAD)
+                .sum::<u64>();
         let file = self.file.get_mut().unwrap_or_else(|e| e.into_inner());
         file.set_len(len)
             .map_err(|e| err(format!("cannot truncate invalid tail: {e}")))?;
         file.seek(SeekFrom::End(0))
             .map_err(|e| err(format!("cannot seek: {e}")))?;
         self.recovered.truncate(keep);
-        self.spans.truncate(keep);
         Ok(())
     }
 
@@ -219,19 +260,6 @@ impl LineJournal {
         file.sync_data()
             .map_err(|e| err(format!("cannot sync: {e}")))
     }
-}
-
-/// Splits a record line into its body, verifying the ` #<16-hex>`
-/// checksum suffix. `None` if the suffix is missing, malformed, or wrong.
-/// The one record verifier: journal recovery, the shard merge and the
-/// cell cache all accept exactly the records it accepts.
-pub(crate) fn verify_checksum(line: &str) -> Option<&str> {
-    let (body, crc) = line.rsplit_once(" #")?;
-    if crc.len() != 16 {
-        return None;
-    }
-    let crc = u64::from_str_radix(crc, 16).ok()?;
-    (crc == fnv1a(body.as_bytes())).then_some(body)
 }
 
 #[cfg(test)]

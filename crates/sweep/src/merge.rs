@@ -27,7 +27,8 @@ use std::time::Duration;
 
 use crate::engine::{CellResult, SweepReport};
 use crate::fingerprint::spec_fingerprint;
-use crate::journal::{parse_header, parse_record_with};
+use crate::journal::{parse_record_body, MAGIC};
+use crate::linejournal::scan;
 use crate::spec::SweepSpec;
 
 /// Why shard journals could not be merged.
@@ -161,12 +162,10 @@ pub fn read_shard_journal(
         path: name.clone(),
         detail: e.to_string(),
     })?;
-    let mut lines = contents.split_inclusive('\n');
-    let head = lines.next().unwrap_or("");
-    let found = match parse_header(head.trim_end()) {
-        // A torn header (no newline) is not a readable journal either.
-        Some(fp) if head.ends_with('\n') => fp,
-        _ => return Err(MergeError::NotAJournal { path: name }),
+    // A missing or torn header (no newline) is not a readable journal.
+    let scan = scan(&contents, MAGIC);
+    let Some(found) = scan.fingerprint else {
+        return Err(MergeError::NotAJournal { path: name });
     };
     let expected = spec_fingerprint(spec);
     if found != expected {
@@ -179,12 +178,12 @@ pub fn read_shard_journal(
     let cells = spec.cells();
     let mut seen = vec![false; cells.len()];
     let mut out = Vec::new();
-    for line in lines {
-        if !line.ends_with('\n') {
-            break; // torn tail: the lost cell surfaces as MissingCells
-        }
-        let Some((index, result)) = parse_record_with(line.trim_end(), spec, &cells) else {
-            break; // corrupt record: stop, as journal recovery would
+    for body in scan.bodies {
+        // A torn or checksum-failing line already ended the scan; a
+        // record that does not parse against the spec ends it too, as
+        // journal recovery would. A lost cell surfaces as MissingCells.
+        let Some((index, result)) = parse_record_body(body, spec, &cells) else {
+            break;
         };
         if seen[index] {
             return Err(MergeError::DuplicateCell {

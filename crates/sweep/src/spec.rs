@@ -7,6 +7,7 @@
 //! cell's inputs — and therefore its results — depend only on the spec,
 //! never on which worker thread happens to execute it.
 
+use mpdp_core::hash::mix;
 use mpdp_core::policy::DegradationPolicy;
 use mpdp_core::time::{Cycles, DEFAULT_TICK};
 use mpdp_faults::FaultPlan;
@@ -350,16 +351,6 @@ pub struct CellSpec {
     pub utilization: f64,
     /// Seed coordinate.
     pub seed: u64,
-}
-
-/// SplitMix64 finalizer over `seed ⊕ γ·index` — the same mixing family the
-/// vendored `StdRng::seed_from_u64` uses, so nearby cell indices yield
-/// statistically independent streams.
-fn mix(seed: u64, index: u64) -> u64 {
-    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -19,7 +19,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use mpdp_sweep::{run_cell, CellCache, Journal, SweepSpec};
+use mpdp_core::time::Cycles;
+use mpdp_sweep::{
+    read_shard_journal, run_cell, ArrivalSpec, CellCache, Journal, JournalTail, SweepSpec,
+};
 
 fn spec() -> SweepSpec {
     let mut spec = SweepSpec::figure4();
@@ -177,4 +180,64 @@ proptest! {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The record counter, the shard merge's reader and journal recovery are
+/// three consumers of one file format, so they must agree on how many
+/// records of a damaged journal survive: for every cut and every
+/// single-byte flip (`^ 0x01`) of the 3-record journal, including cuts
+/// and flips inside the header. One counter also follows the cuts in
+/// order, as a supervisor follows a growing journal, and must count
+/// what a fresh one does.
+#[test]
+fn every_reader_keeps_the_same_records_of_a_damaged_journal() {
+    // Short records (one arrival, a 200 ms horizon) keep the exhaustive
+    // walk cheap; the format is the same at any record length.
+    let spec = SweepSpec {
+        arrivals: ArrivalSpec::Explicit {
+            arrivals: vec![(Cycles::from_millis(10), 0)],
+            horizon: Cycles::from_millis(200),
+        },
+        ..spec()
+    };
+    let dir = tempdir("readers-agree");
+    let path = dir.join("damaged.mpdpj");
+    let journal = Journal::open(&path, &spec).expect("journal opens");
+    for cell in &spec.cells() {
+        let result = run_cell(&spec, cell).expect("cell runs");
+        journal
+            .append(spec.cell_stream(cell), &result)
+            .expect("appends");
+    }
+    drop(journal);
+    let pristine = std::fs::read(&path).expect("pristine journal reads");
+    assert_eq!(
+        pristine.iter().filter(|&&b| b == b'\n').count(),
+        4,
+        "header + 3 records"
+    );
+    let bytes = pristine.as_slice();
+    let cuts = (0..=bytes.len()).map(|cut| (format!("cut at {cut}"), bytes[..cut].to_vec()));
+    let flips = (0..bytes.len()).map(|at| {
+        let mut flipped = bytes.to_vec();
+        flipped[at] ^= 0x01;
+        (format!("flip at {at}"), flipped)
+    });
+    let mut following = JournalTail::new(&path, &spec);
+    for (case, damaged) in cuts.chain(flips) {
+        std::fs::write(&path, &damaged).expect("plant damaged journal");
+        // The read-only readers first: `open` truncates.
+        let counted = JournalTail::new(&path, &spec).count();
+        if case.starts_with("cut") {
+            assert_eq!(following.count(), counted, "{case}: following count");
+        }
+        let merged = read_shard_journal(&path, &spec).map_or(0, |records| records.len());
+        let recovered = Journal::open(&path, &spec).map_or(0, |j| j.recovered().len());
+        assert_eq!(
+            (counted, merged),
+            (recovered, recovered),
+            "{case}: count, merge and recovery disagree"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -48,7 +48,7 @@ pub enum FailureKind {
         /// The signal number, when the platform reports one.
         signal: Option<i32>,
     },
-    /// The worker's heartbeat stopped changing and the watchdog killed it.
+    /// The worker's journal stopped growing and the watchdog killed it.
     Stalled {
         /// Cells durably journaled when the worker was declared hung.
         journaled: usize,
@@ -114,14 +114,15 @@ pub enum FleetEventKind {
         /// One past the last cell index of the shard's range.
         cells_end: usize,
     },
-    /// The shard's heartbeat file content changed; the worker is alive
-    /// with `journaled` durably completed cells.
+    /// The shard's journal changed length: the worker is alive, and the
+    /// journal holds `journaled` checksum-verified records.
     Heartbeat {
-        /// Cells the worker reports durably completed.
+        /// Records in the shard journal — the shard's durably completed
+        /// cells, resumed ones included.
         journaled: usize,
     },
-    /// The stall watchdog fired: the heartbeat did not change within the
-    /// deadline and the supervisor killed the worker.
+    /// The stall watchdog fired: the journal did not change length within
+    /// the deadline and the supervisor killed the worker.
     Stalled {
         /// The configured stall deadline that expired.
         timeout: Duration,

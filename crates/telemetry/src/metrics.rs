@@ -15,6 +15,8 @@
 use std::fmt;
 use std::sync::Mutex;
 
+use mpdp_core::hash::fnv1a;
+
 use crate::event::{FleetEvent, FleetEventKind};
 use crate::FleetObserver;
 
@@ -195,7 +197,7 @@ pub struct FleetSnapshot {
     pub failures_exited: u64,
     /// Failures by kind: fatal signals.
     pub failures_crashed: u64,
-    /// Failures by kind: heartbeat stalls.
+    /// Failures by kind: stalls (the journal stopped growing).
     pub failures_stalled: u64,
     /// Failures by kind: clean exits with short journals.
     pub failures_incomplete: u64,
@@ -528,18 +530,6 @@ impl std::error::Error for SnapshotParseError {}
 
 /// Header line of the worker snapshot text format.
 pub const SNAPSHOT_HEADER: &str = "mpdp-fleet-metrics-text/1";
-
-/// FNV-1a over a byte string — the snapshot trailer checksum. Not
-/// cryptographic: it detects torn writes, which is all an advisory
-/// sidecar file needs.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// Serializes a snapshot as the line-based text format worker processes
 /// persist next to their journals (`shard-N.metrics`): a version header,

@@ -7,8 +7,8 @@
 //! - one thread track per shard (`shard N`), carrying an `"X"` span per
 //!   worker launch attempt (`launch N`, from [`ShardLaunched`] to the
 //!   event that ended the attempt), `"i"` instants for chaos kills,
-//!   journal tears, and stall kills, and a `"C"` counter series of
-//!   journaled-cell progress from heartbeats;
+//!   journal tears, and stall kills, and a `"C"` counter series of the
+//!   shard journal's record count from `Heartbeat` events;
 //! - one `supervisor` track (tid = shard count) carrying the merge span
 //!   and run-level instants (cell events of in-process healing runs).
 //!

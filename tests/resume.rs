@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use mpdp::core::time::Cycles;
 use mpdp::sweep::{
@@ -20,7 +20,7 @@ use mpdp::sweep::{
     CellOutcome, CellSpec, Journal, Knobs, SweepError, SweepPlan, SweepReport, SweepRun, SweepSpec,
     WorkloadSpec,
 };
-use mpdp_telemetry::NullFleetObserver;
+use mpdp_telemetry::{FleetEventKind, FleetRecorder, NullFleetObserver};
 
 /// The ≥100-cell regression grid from the determinism suite: 2-processor
 /// automotive cells, one aperiodic burst, two knob settings, 26 seeds —
@@ -81,9 +81,9 @@ fn journaled(path: &std::path::Path, max_cells: Option<usize>) -> SweepPlan<'sta
     }
 }
 
-/// Runs a plan with no observer and no progress hook.
+/// Runs a plan with no observer.
 fn run(spec: &SweepSpec, workers: usize, plan: &SweepPlan<'_>) -> Result<SweepRun, SweepError> {
-    execute(spec, workers, plan, &NullFleetObserver, |_| {})
+    execute(spec, workers, plan, &NullFleetObserver)
 }
 
 #[test]
@@ -300,7 +300,6 @@ fn a_cell_that_panics_once_is_retried_with_identical_exports() {
             workers,
             &SweepPlan::default(),
             &NullFleetObserver,
-            |_| {},
             inject,
         )
         .expect("heals");
@@ -323,7 +322,6 @@ fn a_cell_that_always_panics_reports_the_lowest_such_cell() {
             workers,
             &SweepPlan::default(),
             &NullFleetObserver,
-            |_| {},
             |cell: &CellSpec| {
                 if cell.index == 3 || cell.index == 11 {
                     panic!("always broken");
@@ -353,13 +351,17 @@ fn a_range_runs_one_shard_and_reports_progress() {
             journal: Some(journal.clone()),
             ..SweepPlan::default()
         };
-        let seen: Mutex<Vec<usize>> = Mutex::default();
-        let shard = execute(&spec, workers, &plan, &NullFleetObserver, |index| {
-            seen.lock().expect("progress lock").push(index);
-        })
-        .expect("shard completes");
+        let recorder = FleetRecorder::new();
+        let shard = execute(&spec, workers, &plan, &recorder).expect("shard completes");
         assert_eq!(shard.report.cells, golden.cells[4..9]);
-        let mut progressed = seen.into_inner().expect("progress lock");
+        let mut progressed: Vec<usize> = recorder
+            .into_events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                FleetEventKind::CellDone { cell, .. } => Some(cell),
+                _ => None,
+            })
+            .collect();
         progressed.sort_unstable();
         assert_eq!(progressed, (4..9).collect::<Vec<_>>(), "one beat per cell");
 

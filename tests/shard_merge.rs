@@ -108,7 +108,7 @@ fn run_shards(spec: &SweepSpec, ranges: &[std::ops::Range<usize>]) -> Vec<PathBu
                 journal: Some(path.clone()),
                 ..SweepPlan::default()
             };
-            execute(spec, 1, &plan, &NullFleetObserver, |_| {}).expect("shard run completes");
+            execute(spec, 1, &plan, &NullFleetObserver).expect("shard run completes");
             path
         })
         .collect()
