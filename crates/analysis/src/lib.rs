@@ -45,5 +45,5 @@ pub use baselines::{aperiodic_first, background_service};
 pub use partition::{partition, per_proc_utilization, PartitionHeuristic};
 pub use polling::{polling_server, PollingServerPolicy, ServerKind};
 pub use report::{format_report, report_rows, ReportRow};
-pub use sensitivity::{breakdown_utilization, is_schedulable_at, scale_load};
+pub use sensitivity::{breakdown_utilization, is_schedulable_at};
 pub use tool::{prepare, PromotionMode, ToolOptions};

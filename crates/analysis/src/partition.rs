@@ -12,6 +12,18 @@
 //! admission: a task is placed on a processor only if the whole group —
 //! existing tasks plus the candidate — passes the RTA there.
 //!
+//! One packing kernel, `Packer`, runs every placement: [`partition`],
+//! and through it the offline tool, as well as the sensitivity search,
+//! which re-packs the same set at many load factors. It works on compact
+//! rows `(C, T, D, upper-band priority, id, C/T)` instead of tasks, keeps
+//! each processor's utilization as a running sum, and reuses its scratch,
+//! so a packing allocates nothing once the scratch has grown. A trial
+//! placement re-runs the [busy-period recurrence](rta::busy_period) only
+//! for the candidate and the group members of strictly *lower* upper-band
+//! priority: a member at a higher or equal priority never counts the
+//! candidate as interference, and every current member already passed,
+//! so checking the rest is exactly the whole-group verdict.
+//!
 //! # Examples
 //!
 //! ```
@@ -29,9 +41,11 @@
 //! ```
 
 use mpdp_core::error::TaskSetError;
-use mpdp_core::ids::ProcId;
+use mpdp_core::ids::{ProcId, TaskId};
+use mpdp_core::priority::Priority;
 use mpdp_core::rta;
 use mpdp_core::task::PeriodicTask;
+use mpdp_core::time::Cycles;
 
 /// Which bin-packing heuristic orders the candidate processors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,71 +80,171 @@ pub fn partition(
     n_procs: usize,
     heuristic: PartitionHeuristic,
 ) -> Result<Vec<PeriodicTask>, TaskSetError> {
-    assert!(n_procs > 0, "at least one processor");
-    // Consider tasks in decreasing utilization order.
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    order.sort_by(|&a, &b| {
-        tasks[b]
-            .utilization()
-            .partial_cmp(&tasks[a].utilization())
-            .expect("utilizations are finite")
-            .then(tasks[a].id().cmp(&tasks[b].id()))
-    });
-
-    let mut groups: Vec<Vec<PeriodicTask>> = vec![Vec::new(); n_procs];
-    let mut assignment: Vec<Option<ProcId>> = vec![None; tasks.len()];
-
-    for &i in &order {
-        let task = &tasks[i];
-        let mut candidates: Vec<usize> = (0..n_procs).collect();
-        match heuristic {
-            PartitionHeuristic::FirstFitDecreasing => {}
-            PartitionHeuristic::BestFitDecreasing => {
-                candidates.sort_by(|&a, &b| {
-                    group_util(&groups[b])
-                        .partial_cmp(&group_util(&groups[a]))
-                        .expect("finite")
-                        .then(a.cmp(&b))
-                });
-            }
-            PartitionHeuristic::WorstFitDecreasing => {
-                candidates.sort_by(|&a, &b| {
-                    group_util(&groups[a])
-                        .partial_cmp(&group_util(&groups[b]))
-                        .expect("finite")
-                        .then(a.cmp(&b))
-                });
-            }
-        }
-        let mut placed = false;
-        for p in candidates {
-            let proc = ProcId::new(p as u32);
-            let mut trial: Vec<PeriodicTask> = groups[p].clone();
-            trial.push(task.clone().with_processor(proc));
-            if rta::analyze(&trial, n_procs).is_ok() {
-                groups[p].push(task.clone().with_processor(proc));
-                assignment[i] = Some(proc);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(TaskSetError::PartitioningFailed(task.id()));
-        }
-    }
-
+    let rows: Vec<Row> = tasks.iter().map(Row::of).collect();
+    let mut packer = Packer::default();
+    let assignment = packer
+        .pack(&rows, n_procs, heuristic)
+        .map_err(TaskSetError::PartitioningFailed)?;
     Ok(tasks
         .into_iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let proc = assignment[i].expect("every task placed");
-            t.with_processor(proc)
-        })
+        .zip(assignment)
+        .map(|(t, &proc)| t.with_processor(proc))
         .collect())
 }
 
-fn group_util(group: &[PeriodicTask]) -> f64 {
-    group.iter().map(PeriodicTask::utilization).sum()
+/// A periodic task as the packing kernel sees it: `C`, `T` and `D`, the
+/// upper-band priority that decides interference, the id a failure
+/// names, and the utilization `C / T`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    wcet: Cycles,
+    period: Cycles,
+    deadline: Cycles,
+    high: Priority,
+    id: TaskId,
+    pub(crate) utilization: f64,
+}
+
+impl Row {
+    /// The row of `task`.
+    pub(crate) fn of(task: &PeriodicTask) -> Row {
+        Row {
+            wcet: task.wcet(),
+            period: task.period(),
+            deadline: task.deadline(),
+            high: task.priorities().high,
+            id: task.id(),
+            utilization: task.utilization(),
+        }
+    }
+
+    /// This row with its load scaled by `factor`: the period and deadline
+    /// are divided by it and the WCET is untouched. Both are floored at
+    /// the WCET, which caps the utilization at 1, and the deadline stays
+    /// within the period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factor` is not finite and positive.
+    pub(crate) fn scaled(self, factor: f64) -> Row {
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "scale factor must be positive"
+        );
+        let divide = |c: Cycles| Cycles::new(((c.as_u64() as f64 / factor).round() as u64).max(1));
+        let period = divide(self.period).max(self.wcet);
+        let deadline = divide(self.deadline).max(self.wcet).min(period);
+        Row {
+            period,
+            deadline,
+            utilization: self.wcet.as_u64() as f64 / period.as_u64() as f64,
+            ..self
+        }
+    }
+}
+
+/// The bin-packing kernel and its reusable scratch. One `Packer` serves
+/// any number of [`Packer::pack`] calls and stops allocating once its
+/// buffers have grown to the largest set it packed.
+#[derive(Debug, Default)]
+pub(crate) struct Packer {
+    /// Row indices in packing order: falling utilization, then id.
+    order: Vec<usize>,
+    /// Each processor's rows, in placement order.
+    groups: Vec<Vec<Row>>,
+    /// Each processor's utilization, summed in placement order.
+    loads: Vec<f64>,
+    /// Processor indices in the order the heuristic tries them.
+    candidates: Vec<usize>,
+    /// Each row's processor.
+    assignment: Vec<ProcId>,
+}
+
+impl Packer {
+    /// Places every row on one of `n_procs` processors with `heuristic`
+    /// and exact RTA admission, and returns each row's processor in row
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// The id of the first row, in packing order, that no processor
+    /// admits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_procs` is zero.
+    pub(crate) fn pack(
+        &mut self,
+        rows: &[Row],
+        n_procs: usize,
+        heuristic: PartitionHeuristic,
+    ) -> Result<&[ProcId], TaskId> {
+        assert!(n_procs > 0, "at least one processor");
+        // The index is the last key, so this unstable sort orders exactly
+        // as a stable sort on utilization and id would.
+        self.order.clear();
+        self.order.extend(0..rows.len());
+        self.order.sort_unstable_by(|&a, &b| {
+            rows[b]
+                .utilization
+                .partial_cmp(&rows[a].utilization)
+                .expect("utilizations are finite")
+                .then(rows[a].id.cmp(&rows[b].id))
+                .then(a.cmp(&b))
+        });
+        self.groups.truncate(n_procs);
+        self.groups.iter_mut().for_each(Vec::clear);
+        self.groups.resize_with(n_procs, Vec::new);
+        self.loads.clear();
+        self.loads.resize(n_procs, 0.0);
+        self.assignment.clear();
+        self.assignment.resize(rows.len(), ProcId::new(0));
+
+        for &i in &self.order {
+            let row = rows[i];
+            // Candidates by the heuristic's load key, ties by index.
+            let loads = &self.loads;
+            let key = |p: usize| match heuristic {
+                PartitionHeuristic::FirstFitDecreasing => 0.0,
+                PartitionHeuristic::BestFitDecreasing => -loads[p],
+                PartitionHeuristic::WorstFitDecreasing => loads[p],
+            };
+            self.candidates.clear();
+            self.candidates.extend(0..n_procs);
+            self.candidates.sort_unstable_by(|&a, &b| {
+                key(a).partial_cmp(&key(b)).expect("finite").then(a.cmp(&b))
+            });
+            let p = self
+                .candidates
+                .iter()
+                .copied()
+                .find(|&p| admits(&self.groups[p], row))
+                .ok_or(row.id)?;
+            self.groups[p].push(row);
+            self.loads[p] += row.utilization;
+            self.assignment[i] = ProcId::new(p as u32);
+        }
+        Ok(&self.assignment)
+    }
+}
+
+/// Whether `group`, which passes the RTA, still passes with `candidate`
+/// added. Only the candidate and the members it interferes with — those
+/// of strictly lower upper-band priority — can change their verdict.
+fn admits(group: &[Row], candidate: Row) -> bool {
+    let meets_deadline = |task: Row, extra: Option<&Row>| {
+        let interference = group
+            .iter()
+            .filter(move |r| r.high > task.high)
+            .chain(extra)
+            .map(|r| (r.wcet, r.period));
+        rta::busy_period(task.wcet, task.deadline, interference).is_some()
+    };
+    meets_deadline(candidate, None)
+        && group
+            .iter()
+            .filter(|m| m.high < candidate.high)
+            .all(|&m| meets_deadline(m, Some(&candidate)))
 }
 
 /// Per-processor utilization of an assigned task set.
@@ -201,6 +315,17 @@ mod tests {
         let tasks = vec![t(0, 80, 100), t(1, 80, 100), t(2, 80, 100)];
         let err = partition(tasks, 2, PartitionHeuristic::WorstFitDecreasing).unwrap_err();
         assert!(matches!(err, TaskSetError::PartitioningFailed(_)));
+    }
+
+    #[test]
+    fn scaling_multiplies_utilization() {
+        let row = Row::of(&t(0, 10, 100));
+        let scaled = row.scaled(2.0);
+        assert_eq!(scaled.period, Cycles::new(50));
+        assert!((scaled.utilization - 0.2).abs() < 1e-12);
+        // WCET floor: scaling cannot push utilization past 1.
+        let maxed = row.scaled(100.0);
+        assert_eq!(maxed.period, Cycles::new(10));
     }
 
     #[test]

@@ -6,60 +6,69 @@
 //! test first fails. The offline tool uses it to answer "how much margin
 //! does this partitioning have?" and the experiments use it to position the
 //! paper's 40–60% operating range against the workload's actual limit.
+//!
+//! Both entry points run on the partitioner's packing kernel: the set is
+//! reduced to rows once, scaled in place, and re-packed, so a probe never
+//! clones a task.
 
 use mpdp_core::error::TaskSetError;
-use mpdp_core::rta;
 use mpdp_core::task::PeriodicTask;
-use mpdp_core::time::Cycles;
 
-use crate::partition::{partition, PartitionHeuristic};
-
-/// Scales a task set's utilization by `factor` by dividing every period and
-/// deadline (WCETs are untouched, so utilization multiplies by `factor`).
-///
-/// Periods are floored at each task's WCET, which caps the per-task
-/// utilization at 1.
-///
-/// # Panics
-///
-/// Panics if `factor` is not finite and positive.
-pub fn scale_load(tasks: &[PeriodicTask], factor: f64) -> Vec<PeriodicTask> {
-    assert!(
-        factor.is_finite() && factor > 0.0,
-        "scale factor must be positive"
-    );
-    tasks
-        .iter()
-        .map(|t| {
-            let period = Cycles::new(((t.period().as_u64() as f64 / factor).round() as u64).max(1))
-                .max(t.wcet());
-            let deadline =
-                Cycles::new(((t.deadline().as_u64() as f64 / factor).round() as u64).max(1))
-                    .max(t.wcet())
-                    .min(period);
-            PeriodicTask::new(t.id(), t.name(), t.wcet(), period)
-                .with_deadline(deadline)
-                .with_offset(t.offset())
-                .with_priorities(t.priorities().low, t.priorities().high)
-                .with_processor(t.processor())
-                .with_profile(*t.profile())
-                .with_stack_words(t.stack_words())
-        })
-        .collect()
-}
+use crate::partition::{Packer, PartitionHeuristic, Row};
 
 /// Whether the set, scaled by `factor`, can still be partitioned and
 /// verified schedulable on `n_procs` processors.
+///
+/// Scaling divides every period and deadline by `factor` (WCETs are
+/// untouched, so utilization multiplies by `factor`), flooring both at
+/// the task's WCET, which caps the per-task utilization at 1.
+///
+/// # Panics
+///
+/// Panics if `factor` is not finite and positive, or `n_procs` is zero.
 pub fn is_schedulable_at(
     tasks: &[PeriodicTask],
     n_procs: usize,
     factor: f64,
     heuristic: PartitionHeuristic,
 ) -> bool {
-    let scaled = scale_load(tasks, factor);
-    match partition(scaled, n_procs, heuristic) {
-        Ok(assigned) => rta::analyze(&assigned, n_procs).is_ok(),
-        Err(_) => false,
+    let rows: Vec<Row> = tasks.iter().map(|t| Row::of(t).scaled(factor)).collect();
+    Packer::default().pack(&rows, n_procs, heuristic).is_ok()
+}
+
+/// The breakdown search's working set: the rows at the given load, a copy
+/// rescaled in place for each probe, and one packer for every probe.
+struct Search {
+    base: Vec<Row>,
+    rows: Vec<Row>,
+    packer: Packer,
+    n_procs: usize,
+    heuristic: PartitionHeuristic,
+}
+
+impl Search {
+    fn scale(&mut self, factor: f64) -> &[Row] {
+        for (row, base) in self.rows.iter_mut().zip(&self.base) {
+            *row = base.scaled(factor);
+        }
+        &self.rows
+    }
+
+    fn schedulable_at(&mut self, factor: f64) -> bool {
+        self.scale(factor);
+        self.packer
+            .pack(&self.rows, self.n_procs, self.heuristic)
+            .is_ok()
+    }
+
+    /// The system utilization `Σ C/T / m` at `factor`.
+    fn utilization_at(&mut self, factor: f64) -> f64 {
+        let n_procs = self.n_procs as f64;
+        self.scale(factor)
+            .iter()
+            .map(|r| r.utilization)
+            .sum::<f64>()
+            / n_procs
     }
 }
 
@@ -68,6 +77,8 @@ pub fn is_schedulable_at(
 /// factor (within `tolerance`) at which the scaled set is still
 /// schedulable. A set whose scaling saturates while still schedulable
 /// (every period floored at its WCET) reports the saturated utilization.
+/// The search also stops once no double lies strictly between its two
+/// bounds, so any positive `tolerance` terminates.
 ///
 /// # Errors
 ///
@@ -85,39 +96,45 @@ pub fn breakdown_utilization(
 ) -> Result<f64, TaskSetError> {
     assert!(!tasks.is_empty(), "need at least one task");
     assert!(tolerance > 0.0, "tolerance must be positive");
-    if !is_schedulable_at(tasks, n_procs, 1.0, heuristic) {
+    let base: Vec<Row> = tasks.iter().map(Row::of).collect();
+    let mut search = Search {
+        rows: base.clone(),
+        base,
+        packer: Packer::default(),
+        n_procs,
+        heuristic,
+    };
+    if !search.schedulable_at(1.0) {
         return Err(TaskSetError::Unschedulable(tasks[0].id()));
     }
-    let util_at = |factor: f64| -> f64 {
-        scale_load(tasks, factor)
-            .iter()
-            .map(PeriodicTask::utilization)
-            .sum::<f64>()
-            / n_procs as f64
-    };
     // Exponential probe for an unschedulable upper bound.
     let mut lo = 1.0f64;
     let mut hi = 2.0f64;
     let mut guard = 0;
-    while is_schedulable_at(tasks, n_procs, hi, heuristic) {
+    while search.schedulable_at(hi) {
         lo = hi;
         hi *= 2.0;
         guard += 1;
         if guard > 16 {
             // The period floor saturated every task at U = 1 while the set
             // stayed schedulable: report the saturated utilization.
-            return Ok(util_at(lo));
+            return Ok(search.utilization_at(lo));
         }
     }
     while hi - lo > tolerance {
         let mid = (lo + hi) / 2.0;
-        if is_schedulable_at(tasks, n_procs, mid, heuristic) {
+        // Adjacent bounds: the midpoint rounds onto one of them and the
+        // search could never move again.
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if search.schedulable_at(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    Ok(util_at(lo))
+    Ok(search.utilization_at(lo))
 }
 
 #[cfg(test)]
@@ -125,7 +142,7 @@ mod tests {
     use super::*;
     use mpdp_core::ids::TaskId;
     use mpdp_core::priority::Priority;
-    use mpdp_core::time::DEFAULT_TICK;
+    use mpdp_core::time::{Cycles, DEFAULT_TICK};
     use mpdp_workload::automotive_task_set;
 
     fn simple(id: u32, c: u64, t: u64) -> PeriodicTask {
@@ -136,17 +153,6 @@ mod tests {
             Cycles::new(t),
         )
         .with_priorities(Priority::new(100 - id), Priority::new(100 - id))
-    }
-
-    #[test]
-    fn scaling_multiplies_utilization() {
-        let tasks = vec![simple(0, 10, 100)];
-        let scaled = scale_load(&tasks, 2.0);
-        assert_eq!(scaled[0].period(), Cycles::new(50));
-        assert!((scaled[0].utilization() - 0.2).abs() < 1e-12);
-        // WCET floor: scaling cannot push utilization past 1.
-        let maxed = scale_load(&tasks, 100.0);
-        assert_eq!(maxed[0].period(), Cycles::new(10));
     }
 
     #[test]
@@ -171,6 +177,21 @@ mod tests {
     fn overloaded_input_is_rejected() {
         let tasks = vec![simple(0, 80, 100), simple(1, 80, 100)];
         assert!(breakdown_utilization(&tasks, 1, PartitionHeuristic::default(), 0.01).is_err());
+    }
+
+    #[test]
+    fn a_tolerance_below_double_spacing_still_terminates() {
+        let set = automotive_task_set(0.4, 2, DEFAULT_TICK);
+        let coarse =
+            breakdown_utilization(&set.periodic, 2, PartitionHeuristic::default(), 0.01).unwrap();
+        let fine =
+            breakdown_utilization(&set.periodic, 2, PartitionHeuristic::default(), 1e-300).unwrap();
+        // The finer search runs the coarse one's probes and then more, so
+        // its schedulable bound can only have moved up.
+        assert!(
+            fine >= coarse && fine <= 1.0,
+            "coarse {coarse}, fine {fine}"
+        );
     }
 
     #[test]

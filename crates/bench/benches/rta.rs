@@ -1,4 +1,5 @@
-//! Criterion bench: the response-time recurrence and the offline tool.
+//! Criterion bench: the response-time recurrence, the offline tool, and
+//! the sensitivity queries the admission daemon answers online.
 //!
 //! The paper runs the analysis offline on a host, but its cost still matters
 //! for design-space exploration (re-analysing every candidate partition).
@@ -7,6 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mpdp_analysis::tool::{prepare, ToolOptions};
+use mpdp_analysis::{breakdown_utilization, is_schedulable_at, PartitionHeuristic};
 use mpdp_core::rta::analyze;
 use mpdp_core::time::DEFAULT_TICK;
 use mpdp_workload::automotive_task_set;
@@ -46,5 +48,32 @@ fn bench_offline_tool(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rta, bench_offline_tool);
+fn bench_sensitivity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sensitivity");
+    let heuristic = PartitionHeuristic::WorstFitDecreasing;
+    for (util, n_procs) in [(0.4, 2usize), (0.5, 3), (0.6, 4)] {
+        let set = automotive_task_set(util, n_procs, DEFAULT_TICK).periodic;
+        let label = format!("{n_procs}P");
+        group.bench_with_input(
+            BenchmarkId::new("is_schedulable_at_1.2", &label),
+            &set,
+            |b, set| {
+                b.iter(|| is_schedulable_at(black_box(set), n_procs, 1.2, heuristic));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("breakdown_utilization_0.01", &label),
+            &set,
+            |b, set| {
+                b.iter(|| {
+                    breakdown_utilization(black_box(set), n_procs, heuristic, 0.01)
+                        .expect("schedulable at its own load")
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_rta, bench_offline_tool, bench_sensitivity);
 criterion_main!(benches);

@@ -61,6 +61,7 @@ use crate::priority::Priority;
 use crate::queue::{
     AperiodicReadyQueue, HighPrioLocalQueue, PeriodicReadyQueue, WaitingPeriodicQueue,
 };
+use crate::rta;
 use crate::task::{PeriodicTask, TaskTable};
 use crate::time::Cycles;
 
@@ -1093,26 +1094,13 @@ impl MpdpPolicy {
 /// deadline.
 fn response_with_ties(tasks: &[&PeriodicTask], index: usize) -> Option<Cycles> {
     let task = tasks[index];
-    let hp: Vec<&PeriodicTask> = tasks
+    let high = task.priorities().high;
+    let interference = tasks
         .iter()
         .enumerate()
-        .filter(|&(k, t)| k != index && t.priorities().high >= task.priorities().high)
-        .map(|(_, t)| *t)
-        .collect();
-    let mut w = task.wcet();
-    loop {
-        if w > task.deadline() {
-            return None;
-        }
-        let mut next = task.wcet();
-        for j in &hp {
-            next = next.saturating_add(j.wcet().saturating_mul(w.div_ceil(j.period())));
-        }
-        if next == w {
-            return Some(w);
-        }
-        w = next;
-    }
+        .filter(move |&(k, t)| k != index && t.priorities().high >= high)
+        .map(|(_, t)| (t.wcet(), t.period()));
+    rta::busy_period(task.wcet(), task.deadline(), interference)
 }
 
 impl Scheduler for MpdpPolicy {

@@ -54,6 +54,39 @@ pub struct RtaResult {
     pub promotion: Cycles,
 }
 
+/// The busy-period recurrence itself: the least fixed point of
+/// `W = C + Σ ⌈W / T_j⌉ · C_j` over the `(C_j, T_j)` pairs `interference`
+/// yields, iterated from `W = C`, or `None` as soon as `W` exceeds
+/// `deadline`.
+///
+/// [`analyze`], the partitioner's trial placements and the policy's
+/// failover re-admission all compute responses with this function; they
+/// differ only in which tasks they count as interference.
+/// `interference` is cloned once per iteration, so pass a cheap iterator
+/// (a filtered slice walk) rather than a collected list.
+///
+/// # Panics
+///
+/// Panics if an interfering period is zero.
+pub fn busy_period<I>(wcet: Cycles, deadline: Cycles, interference: I) -> Option<Cycles>
+where
+    I: Iterator<Item = (Cycles, Cycles)> + Clone,
+{
+    let mut w = wcet;
+    loop {
+        if w > deadline {
+            return None;
+        }
+        let next = interference.clone().fold(wcet, |next, (c, t)| {
+            next.saturating_add(c.saturating_mul(w.div_ceil(t)))
+        });
+        if next == w {
+            return Some(w);
+        }
+        w = next;
+    }
+}
+
 /// Computes the least fixed point of the busy-period recurrence for the task
 /// at `index` within `tasks`, all of which must be assigned to the same
 /// processor.
@@ -67,26 +100,12 @@ pub struct RtaResult {
 /// Panics if `index` is out of bounds.
 pub fn worst_case_response(tasks: &[&PeriodicTask], index: usize) -> Result<Cycles, TaskSetError> {
     let task = tasks[index];
-    let hp: Vec<&PeriodicTask> = tasks
+    let high = task.priorities().high;
+    let hp = tasks
         .iter()
-        .filter(|t| t.priorities().high > task.priorities().high)
-        .copied()
-        .collect();
-    let mut w = task.wcet();
-    loop {
-        if w > task.deadline() {
-            return Err(TaskSetError::Unschedulable(task.id()));
-        }
-        let mut next = task.wcet();
-        for j in &hp {
-            let activations = w.div_ceil(j.period());
-            next = next.saturating_add(j.wcet().saturating_mul(activations));
-        }
-        if next == w {
-            return Ok(w);
-        }
-        w = next;
-    }
+        .filter(move |t| t.priorities().high > high)
+        .map(|t| (t.wcet(), t.period()));
+    busy_period(task.wcet(), task.deadline(), hp).ok_or(TaskSetError::Unschedulable(task.id()))
 }
 
 /// Runs the analysis for every periodic task in `tasks` on an `n_procs`
@@ -106,16 +125,14 @@ pub fn analyze(tasks: &[PeriodicTask], n_procs: usize) -> Result<Vec<RtaResult>,
         }
     }
     let mut results = Vec::with_capacity(tasks.len());
-    for (i, task) in tasks.iter().enumerate() {
-        let same_proc: Vec<&PeriodicTask> = tasks
+    for task in tasks {
+        let (proc, high) = (task.processor(), task.priorities().high);
+        let hp = tasks
             .iter()
-            .filter(|t| t.processor() == task.processor())
-            .collect();
-        let local_index = same_proc
-            .iter()
-            .position(|t| std::ptr::eq(*t, &tasks[i]))
-            .expect("task present in its own processor group");
-        let response = worst_case_response(&same_proc, local_index)?;
+            .filter(move |t| t.processor() == proc && t.priorities().high > high)
+            .map(|t| (t.wcet(), t.period()));
+        let response = busy_period(task.wcet(), task.deadline(), hp)
+            .ok_or(TaskSetError::Unschedulable(task.id()))?;
         results.push(RtaResult {
             task: task.id(),
             response,

@@ -19,11 +19,16 @@
 
 use std::collections::BTreeMap;
 
+use mpdp_core::time::CLOCK_HZ;
 use mpdp_obs::{escape_json, parse_json, Json};
 use mpdp_telemetry::ServeEndpoint;
 
 /// Longest accepted session name; names match `[A-Za-z0-9_-]{1,64}`.
 pub const MAX_SESSION_NAME: usize = 64;
+
+/// Largest `exec_us` or `window_us` an `admit` may carry: the most
+/// microseconds that still fit a cycle count at the platform clock.
+pub const MAX_DEMAND_US: u64 = u64::MAX / (CLOCK_HZ / 1_000_000);
 
 /// What a `query` request asks of a session.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,6 +223,12 @@ pub fn parse_request(line: &str) -> Result<Envelope, (u64, ErrorKind, String)> {
             Err(bad(format!("field {key} must be a non-negative integer")))
         }
     };
+    let micros = |key: &str| -> Result<u64, (u64, ErrorKind, String)> {
+        match unsigned(key)? {
+            us if us <= MAX_DEMAND_US => Ok(us),
+            _ => Err(bad(format!("field {key} must be at most {MAX_DEMAND_US}"))),
+        }
+    };
 
     let request = match op {
         "open" => {
@@ -239,8 +250,8 @@ pub fn parse_request(line: &str) -> Result<Envelope, (u64, ErrorKind, String)> {
             session: session(&fields)?,
             task: u32::try_from(unsigned("task")?)
                 .map_err(|_| bad("field task must fit in u32".into()))?,
-            exec_us: unsigned("exec_us")?,
-            window_us: unsigned("window_us")?,
+            exec_us: micros("exec_us")?,
+            window_us: micros("window_us")?,
         },
         "close" => Request::Close {
             session: session(&fields)?,
@@ -406,6 +417,34 @@ mod tests {
         for cut in 0..line.len() {
             let err = parse_request(&line[..cut]).expect_err(&line[..cut]);
             assert_eq!(err.1, ErrorKind::BadRequest, "{}", &line[..cut]);
+        }
+    }
+
+    #[test]
+    fn demands_past_the_cycle_range_are_rejected() {
+        let admit = |exec: u64, window: u64| {
+            parse_request(&format!(
+                r#"{{"op":"admit","session":"s","task":1,"exec_us":{exec},"window_us":{window}}}"#
+            ))
+        };
+        // JSON numbers are doubles: the largest one not above the limit is
+        // accepted, the next one up is not.
+        let top: u64 = 368_934_881_474_190_976;
+        assert_eq!(top as f64 as u64, top, "exact as a double");
+        assert!(top <= MAX_DEMAND_US && top + 64 > MAX_DEMAND_US);
+        let env = admit(top, top).expect("in range");
+        assert!(matches!(
+            env.request,
+            Request::Admit { exec_us, window_us, .. } if exec_us == top && window_us == top
+        ));
+        for (exec, window) in [
+            (368_934_881_474_191_104, 100_000),
+            (200, MAX_DEMAND_US + 1),
+            (u64::MAX, 1),
+        ] {
+            let (_, kind, detail) = admit(exec, window).expect_err("out of range");
+            assert_eq!(kind, ErrorKind::BadRequest);
+            assert!(detail.contains(&MAX_DEMAND_US.to_string()), "{detail}");
         }
     }
 

@@ -32,7 +32,7 @@ use mpdp_core::time::{Cycles, DEFAULT_TICK};
 use mpdp_sweep::{LineJournal, LineJournalError};
 use mpdp_workload::automotive_task_set;
 
-use crate::protocol::ErrorKind;
+use crate::protocol::{ErrorKind, MAX_DEMAND_US};
 
 /// Journal header magic.
 pub const JOURNAL_MAGIC: &str = "MPDPD1";
@@ -275,7 +275,7 @@ fn replay_record(sessions: &mut BTreeMap<String, Session>, body: &str) -> Option
             let task: u32 = parts.next()?.parse().ok()?;
             let exec_us: u64 = parts.next()?.parse().ok()?;
             let window_us: u64 = parts.next()?.parse().ok()?;
-            if parts.next().is_some() {
+            if parts.next().is_some() || exec_us.max(window_us) > MAX_DEMAND_US {
                 return None;
             }
             let _ = apply_admit(sessions, name, task, exec_us, window_us);
@@ -384,6 +384,31 @@ mod tests {
         // Errors are not journaled: replay sees only the one open.
         let again = SessionStore::open(&d.join("j.mpdpd")).expect("reopens");
         assert_eq!(again.len(), 1);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn an_admit_past_the_cycle_range_truncates_the_replay() {
+        let d = dir("range");
+        let path = d.join("j.mpdpd");
+        {
+            let mut store = SessionStore::open(&path).expect("opens");
+            store.open_session("s", 0.6, 2).expect("opens");
+        }
+        // A record no parsed request can produce: its cycle count wraps.
+        let journal = LineJournal::open(&path, JOURNAL_MAGIC, JOURNAL_FINGERPRINT).expect("opens");
+        journal
+            .append("admit s 101 368934881474191104 100000")
+            .expect("appends");
+        journal.append("close s").expect("appends");
+        drop(journal);
+        let store = SessionStore::open(&path).expect("recovers");
+        let s = store
+            .get("s")
+            .expect("replay stops before the bad admit and the close");
+        assert!(s.admission.admitted().is_empty());
+        let journal = LineJournal::open(&path, JOURNAL_MAGIC, JOURNAL_FINGERPRINT).expect("opens");
+        assert_eq!(journal.recovered().len(), 1, "truncated after the open");
         let _ = std::fs::remove_dir_all(&d);
     }
 

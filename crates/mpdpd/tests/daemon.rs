@@ -2,6 +2,8 @@
 //! trips, SIGKILL crash recovery, overload shedding, typed timeouts, and
 //! the SIGTERM graceful drain through the sh trampoline.
 
+use std::io::{self, BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -75,6 +77,22 @@ impl Daemon {
     }
 }
 
+/// Sends `line` on a fresh connection whose reads give up after
+/// `timeout`, so a wedged daemon fails the test instead of hanging it.
+fn send_within(socket: &Path, line: &str, timeout: Duration) -> io::Result<BufReader<UnixStream>> {
+    let mut stream = UnixStream::connect(socket)?;
+    stream.set_read_timeout(Some(timeout))?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    Ok(BufReader::new(stream))
+}
+
+/// The next response line on a [`send_within`] connection.
+fn reply_on(mut conn: BufReader<UnixStream>) -> io::Result<String> {
+    let mut reply = String::new();
+    conn.read_line(&mut reply)?;
+    Ok(reply.trim_end().to_string())
+}
+
 fn sigterm(pid: u32) {
     let status = Command::new("kill")
         .args(["-TERM", &pid.to_string()])
@@ -128,6 +146,66 @@ fn protocol_round_trip_over_a_unix_socket() {
         .expect("close");
     assert!(close.contains("\"closed\":\"s1\""), "{close}");
     d.cleanup();
+}
+
+#[test]
+fn a_tiny_headroom_tolerance_never_wedges_a_worker() {
+    // Both workers get a search whose tolerance is below the spacing of
+    // doubles; a ping behind them must still be answered.
+    let d = Daemon::spawn_inner("tolerance", &[]);
+    let limit = Duration::from_secs(10);
+    let call = |line: &str| send_within(&d.socket, line, limit).and_then(reply_on);
+    let open = call(r#"{"op":"open","id":1,"session":"s","util":0.4,"procs":2}"#);
+    let searches: Vec<_> = [2, 3]
+        .map(|id| {
+            send_within(
+                &d.socket,
+                &format!(
+                    r#"{{"op":"query","id":{id},"session":"s","kind":"headroom","tolerance":1e-300,"deadline_ms":30000}}"#
+                ),
+                limit,
+            )
+        })
+        .into_iter()
+        .collect();
+    let pong = call(r#"{"op":"ping","id":4}"#);
+    let headrooms: Vec<_> = searches
+        .into_iter()
+        .map(|search| search.and_then(reply_on))
+        .collect();
+    // A wedged daemon spins its workers until killed: stop it first.
+    d.cleanup();
+    let open = open.expect("open answered");
+    assert!(open.contains("\"ok\":true"), "{open}");
+    let pong = pong.expect("ping answered behind two searches");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    for reply in headrooms {
+        let reply = reply.expect("headroom answered");
+        assert!(reply.contains("\"headroom\":"), "{reply}");
+    }
+}
+
+#[test]
+fn an_admit_past_the_cycle_range_is_a_bad_request() {
+    let d = Daemon::spawn_inner("range", &[]);
+    let limit = Duration::from_secs(10);
+    let call = |line: &str| send_within(&d.socket, line, limit).and_then(reply_on);
+    let open = call(r#"{"op":"open","id":1,"session":"s","util":0.6,"procs":2}"#);
+    // 368934881474191104 µs is 2^64 + 3584 cycles: it must not wrap.
+    let huge = call(
+        r#"{"op":"admit","id":2,"session":"s","task":100,"exec_us":368934881474191104,"window_us":100000}"#,
+    );
+    let verdict = call(r#"{"op":"query","id":3,"session":"s"}"#);
+    d.cleanup();
+    let open = open.expect("open answered");
+    assert!(open.contains("\"ok\":true"), "{open}");
+    let huge = huge.expect("admit answered");
+    assert!(
+        huge.contains("\"error\":\"bad_request\"") && huge.contains("exec_us"),
+        "{huge}"
+    );
+    let verdict = verdict.expect("verdict answered");
+    assert!(verdict.contains("\"admitted\":0"), "{verdict}");
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Allocation budget of the simulators' event loops.
+//! Allocation budget of the simulators' event loops and of the
+//! schedulability kernel.
 //!
 //! Both stacks promise no heap allocation per simulated event: scratch
 //! buffers are reused, policy scans walk live jobs only, and the interrupt
@@ -7,6 +8,11 @@
 //! the horizon — twice the ticks, releases, switches and interrupts — may
 //! add only a handful of allocations. A per-event allocation adds
 //! thousands.
+//!
+//! The packing kernel behind `is_schedulable_at` and the breakdown search
+//! promises the same per trial placement: a probe allocates its rows and
+//! scratch once, and a finer breakdown search (more probes) allocates no
+//! more than a coarse one beyond amortized scratch growth.
 //!
 //! A counting global allocator tallies allocations per thread (a
 //! const-initialized thread-local), so the test harness running other
@@ -17,6 +23,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use mpdp::analysis::tool::{prepare, ToolOptions};
+use mpdp::analysis::{breakdown_utilization, is_schedulable_at, PartitionHeuristic};
 use mpdp::core::policy::MpdpPolicy;
 use mpdp::core::task::TaskTable;
 use mpdp::core::time::{Cycles, DEFAULT_TICK};
@@ -26,6 +33,10 @@ use mpdp_faults::CompiledFaults;
 
 /// Extra allocations a doubled horizon may cost one stack.
 const BUDGET: u64 = 100;
+/// Allocations one `is_schedulable_at` call may make on a Figure 4 set.
+const PROBE_BUDGET: u64 = 16;
+/// Extra allocations a breakdown search 50× finer may make.
+const SEARCH_BUDGET: u64 = 8;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -155,4 +166,49 @@ fn theoretical_event_loop_allocates_nothing_per_event() {
         })
     });
     assert_within_budget("theoretical", counts);
+}
+
+/// The Figure 4 grid's periodic sets, with their processor counts.
+fn figure4_sets() -> Vec<(f64, usize, Vec<mpdp::core::task::PeriodicTask>)> {
+    let mut sets = Vec::new();
+    for n_procs in 2..=4 {
+        for util in [0.4, 0.5, 0.6] {
+            let set = mpdp::workload::automotive_task_set(util, n_procs, DEFAULT_TICK);
+            sets.push((util, n_procs, set.periodic));
+        }
+    }
+    sets
+}
+
+#[test]
+fn a_schedulability_probe_allocates_a_handful() {
+    for (util, n_procs, set) in figure4_sets() {
+        for heuristic in [
+            PartitionHeuristic::FirstFitDecreasing,
+            PartitionHeuristic::BestFitDecreasing,
+            PartitionHeuristic::WorstFitDecreasing,
+        ] {
+            let n = allocations(|| is_schedulable_at(&set, n_procs, 1.2, heuristic));
+            assert!(
+                n <= PROBE_BUDGET,
+                "{heuristic:?} at {util} on {n_procs}P: {n} allocations for one probe \
+                 (budget {PROBE_BUDGET}); trial placements allocate"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_finer_breakdown_search_allocates_no_more() {
+    let heuristic = PartitionHeuristic::WorstFitDecreasing;
+    for (util, n_procs, set) in figure4_sets() {
+        let search =
+            |tolerance| allocations(|| breakdown_utilization(&set, n_procs, heuristic, tolerance));
+        let (coarse, fine) = (search(0.05), search(0.001));
+        assert!(
+            fine <= coarse + SEARCH_BUDGET,
+            "{util} on {n_procs}P: tolerance 0.001 made {fine} allocations against \
+             {coarse} at 0.05 (budget +{SEARCH_BUDGET}); probes allocate"
+        );
+    }
 }
