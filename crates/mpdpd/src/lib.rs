@@ -17,9 +17,11 @@
 //!   `overloaded` responses instead of growing without bound;
 //! * **deadlines** — every request carries (or inherits) a deadline and
 //!   gets a typed `timeout` response if it expires in the queue;
-//! * **crash safety** — mutations are journaled (fsync) before execution
-//!   ([`session`]); a SIGKILLed daemon replays the journal and rebuilds
-//!   every session byte-identically;
+//! * **crash safety** — mutations are journaled before execution and
+//!   synced before any reply that reads them, one group-commit fsync
+//!   covering every record written before it ([`session`]); a SIGKILLed
+//!   daemon replays the journal and rebuilds every session
+//!   byte-identically;
 //! * **graceful drain** — SIGTERM stops the listener, answers everything
 //!   in flight, and exits 0 (see the `mpdpd` binary's trampoline).
 //!

@@ -4,16 +4,27 @@
 //! The service plane mirrors the paper's dual-priority scheduler. Session
 //! mutations (`open`/`admit`/`close`) are the *guaranteed* band: under
 //! overload they may evict queued best-effort work but are never shed
-//! themselves, and each is journaled (fsync) before it executes. Read-only
+//! themselves, and each is journaled before it executes. Read-only
 //! queries are the *best-effort* band: when the bounded queue is full they
 //! are refused with a typed `overloaded` response and counted, exactly as
 //! aperiodic work in MPDP yields to the periodic guarantee.
 //!
+//! The session-store lock covers in-memory work only. A mutation writes
+//! its record, applies it and renders its reply under the lock, then
+//! waits for the journal's group commit after releasing it; a query takes
+//! a refcount on its session under the lock and computes outside it. No
+//! reply reports state that is not on disk: a mutation's reply waits for
+//! its own record, a query's for its session's last record, and an
+//! `unknown_session` or `session_exists` reply for every record written
+//! before it. Concurrent mutations share one fsync, and queries never
+//! wait behind another connection's.
+//!
 //! Shutdown is cooperative: when the drain file appears (the `mpdpd`
 //! binary's SIGTERM trampoline touches it), the listener stops accepting,
 //! readers stop pulling new lines, workers answer everything already
-//! queued, the journal is already on disk (it is fsynced per append), and
-//! [`run`] returns a [`DrainSummary`] so the binary can exit 0.
+//! queued, the journal is already on disk (every answered mutation waited
+//! for its fsync), and [`run`] returns a [`DrainSummary`] so the binary
+//! can exit 0.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -27,13 +38,13 @@ use std::time::{Duration, Instant};
 use mpdp_analysis::is_schedulable_at;
 use mpdp_analysis::PartitionHeuristic;
 use mpdp_obs::escape_json;
-use mpdp_sweep::{run_cell_cached, SweepSpec, TableCache};
-use mpdp_telemetry::{serve_prometheus_text, ServeEvent, ServeMetrics};
+use mpdp_sweep::{run_cell_cached, LineJournal, SweepSpec, TableCache};
+use mpdp_telemetry::{serve_prometheus_text, ServeEvent, ServeMetrics, ServeSnapshot};
 
 use crate::protocol::{
     error_response, ok_response, parse_request, Envelope, ErrorKind, QueryKind, Request,
 };
-use crate::session::{json_num, SessionStore};
+use crate::session::{await_durable, json_num, unknown, OpResult, SessionStore};
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -103,6 +114,8 @@ struct Job {
 
 struct Daemon {
     state: Mutex<SessionStore>,
+    /// The store's journal: replies wait on it without holding `state`.
+    journal: Arc<LineJournal>,
     cache: TableCache,
     metrics: ServeMetrics,
     queue: Mutex<VecDeque<Job>>,
@@ -117,12 +130,21 @@ struct Daemon {
     default_deadline: Duration,
 }
 
-fn respond(writer: &SharedWriter, line: &str) {
+/// Sends one reply line in one write, so the client never wakes on half
+/// a line.
+fn respond(writer: &SharedWriter, mut line: String) {
+    line.push('\n');
     let mut w = writer.lock().expect("writer lock");
     // The client may be gone; a failed response is not a server fault.
     let _ = w.write_all(line.as_bytes());
-    let _ = w.write_all(b"\n");
     let _ = w.flush();
+}
+
+fn render(id: u64, result: OpResult) -> String {
+    match result {
+        Ok(body) => ok_response(id, &body),
+        Err((kind, detail)) => error_response(id, kind, &detail),
+    }
 }
 
 impl Daemon {
@@ -131,7 +153,7 @@ impl Daemon {
             Ok(env) => env,
             Err((id, kind, detail)) => {
                 self.metrics.event(&ServeEvent::BadRequest);
-                respond(writer, &error_response(id, kind, &detail));
+                respond(writer, error_response(id, kind, &detail));
                 return;
             }
         };
@@ -157,7 +179,7 @@ impl Daemon {
                 self.metrics.event(&ServeEvent::ShedBestEffort);
                 respond(
                     &job.writer,
-                    &error_response(
+                    error_response(
                         job.envelope.id,
                         ErrorKind::Overloaded,
                         "queue full; best-effort request shed",
@@ -177,7 +199,7 @@ impl Daemon {
                 self.metrics.event(&ServeEvent::ShedBestEffort);
                 respond(
                     &victim.writer,
-                    &error_response(
+                    error_response(
                         victim.envelope.id,
                         ErrorKind::Overloaded,
                         "shed to make room for a guaranteed request",
@@ -191,7 +213,7 @@ impl Daemon {
             self.metrics.event(&ServeEvent::RejectedGuaranteed);
             respond(
                 &job.writer,
-                &error_response(
+                error_response(
                     job.envelope.id,
                     ErrorKind::Overloaded,
                     "queue full of guaranteed requests; retry",
@@ -238,7 +260,7 @@ impl Daemon {
             self.metrics.event(&ServeEvent::TimedOut { endpoint });
             respond(
                 &job.writer,
-                &error_response(
+                error_response(
                     id,
                     ErrorKind::Timeout,
                     &format!(
@@ -250,7 +272,7 @@ impl Daemon {
             return;
         }
         let response = self.dispatch(&job.envelope);
-        respond(&job.writer, &response);
+        respond(&job.writer, response);
         self.metrics.event(&ServeEvent::Completed {
             endpoint,
             wall: job.enqueued.elapsed(),
@@ -267,18 +289,18 @@ impl Daemon {
                 session,
                 util,
                 procs,
-            } => self.mutate(id, |s| s.open_session(session, *util, *procs)),
+            } => self.mutate(id, |s| s.stage_open(session, *util, *procs)),
             Request::Admit {
                 session,
                 task,
                 exec_us,
                 window_us,
-            } => self.mutate(id, |s| s.admit(session, *task, *exec_us, *window_us)),
-            Request::Close { session } => self.mutate(id, |s| s.close(session)),
+            } => self.mutate(id, |s| s.stage_admit(session, *task, *exec_us, *window_us)),
+            Request::Close { session } => self.mutate(id, |s| s.stage_close(session)),
             Request::Query { session, kind } => self.query(id, session, kind),
             Request::Ping => ok_response(id, "\"pong\":true"),
             Request::Stats => {
-                let snap = self.metrics.snapshot();
+                let snap = self.metrics_snapshot();
                 let mut body: Vec<String> = snap
                     .counters()
                     .iter()
@@ -291,44 +313,55 @@ impl Daemon {
                 ok_response(id, &body.join(","))
             }
             Request::Metrics => {
-                let text = serve_prometheus_text(&self.metrics.snapshot());
+                let text = serve_prometheus_text(&self.metrics_snapshot());
                 ok_response(id, &format!("\"prometheus\":\"{}\"", escape_json(&text)))
             }
         }
     }
 
-    fn mutate(
-        &self,
-        id: u64,
-        op: impl FnOnce(&mut SessionStore) -> Result<String, (ErrorKind, String)>,
-    ) -> String {
-        let mut state = self.state.lock().expect("state lock");
-        match op(&mut state) {
-            Ok(body) => {
-                self.metrics.event(&ServeEvent::JournalAppend);
-                ok_response(id, &body)
-            }
-            Err((kind, detail)) => error_response(id, kind, &detail),
+    /// The counters, with the journal's fsync count.
+    fn metrics_snapshot(&self) -> ServeSnapshot {
+        let mut snap = self.metrics.snapshot();
+        snap.journal_syncs = self.journal.syncs();
+        snap
+    }
+
+    /// Runs `op` under the store lock and waits for the journal after
+    /// releasing it: for the op's own record, or, when it wrote none (an
+    /// `unknown_session` or `session_exists` reply), for every record
+    /// written before it, since another connection's `close` or `open` may
+    /// still be in flight.
+    fn mutate(&self, id: u64, op: impl FnOnce(&mut SessionStore) -> OpResult) -> String {
+        let (result, written, appended) = {
+            let mut state = self.state.lock().expect("state lock");
+            let before = state.written();
+            let result = op(&mut state);
+            let written = state.written();
+            (result, written, written > before)
+        };
+        if appended {
+            self.metrics.event(&ServeEvent::JournalAppend);
         }
+        render(id, await_durable(&self.journal, written).and(result))
     }
 
     fn query(&self, id: u64, name: &str, kind: &QueryKind) -> String {
-        // Clone the (small) session out of the lock so slow analysis never
-        // blocks the guaranteed band.
-        let session = {
+        // Take a refcount under the lock and compute outside it, so slow
+        // analysis never blocks the guaranteed band.
+        let found = {
             let state = self.state.lock().expect("state lock");
-            match state.get(name) {
-                Some(s) => s.clone(),
-                None => {
-                    return error_response(
-                        id,
-                        ErrorKind::UnknownSession,
-                        &format!("no session named {name}"),
-                    )
-                }
+            state.snapshot(name).ok_or_else(|| state.written())
+        };
+        let session = match found {
+            Ok(session) => session,
+            Err(written) => {
+                return render(
+                    id,
+                    await_durable(&self.journal, written).and(Err(unknown(name))),
+                )
             }
         };
-        match kind {
+        let result = match kind {
             QueryKind::Verdict => {
                 let base: f64 = session
                     .admission
@@ -336,17 +369,14 @@ impl Daemon {
                     .iter()
                     .map(|t| t.utilization())
                     .sum();
-                ok_response(
-                    id,
-                    &format!(
-                        "\"session\":\"{name}\",\"procs\":{},\"base_utilization\":{},\
-                         \"aperiodic_bandwidth\":{},\"admitted\":{}",
-                        session.procs,
-                        json_num(base),
-                        json_num(session.admission.aperiodic_bandwidth()),
-                        session.admission.admitted().len()
-                    ),
-                )
+                Ok(format!(
+                    "\"session\":\"{name}\",\"procs\":{},\"base_utilization\":{},\
+                     \"aperiodic_bandwidth\":{},\"admitted\":{}",
+                    session.procs,
+                    json_num(base),
+                    json_num(session.admission.aperiodic_bandwidth()),
+                    session.admission.admitted().len()
+                ))
             }
             QueryKind::At { factor } => {
                 let schedulable = is_schedulable_at(
@@ -355,39 +385,37 @@ impl Daemon {
                     *factor,
                     PartitionHeuristic::WorstFitDecreasing,
                 );
-                ok_response(
-                    id,
-                    &format!(
-                        "\"schedulable\":{schedulable},\"factor\":{}",
-                        json_num(*factor)
-                    ),
-                )
+                Ok(format!(
+                    "\"schedulable\":{schedulable},\"factor\":{}",
+                    json_num(*factor)
+                ))
             }
-            QueryKind::Headroom { tolerance } => match session.admission.headroom(*tolerance) {
-                Ok(headroom) => ok_response(id, &format!("\"headroom\":{}", json_num(headroom))),
-                Err(e) => error_response(id, ErrorKind::BadRequest, &e.to_string()),
-            },
+            QueryKind::Headroom { tolerance } => session
+                .admission
+                .headroom(*tolerance)
+                .map(|headroom| format!("\"headroom\":{}", json_num(headroom)))
+                .map_err(|e| (ErrorKind::BadRequest, e.to_string())),
             QueryKind::Simulate { seed } => {
                 let spec = simulate_spec(session.util, session.procs, *seed);
                 let cells = spec.cells();
-                match run_cell_cached(&spec, &cells[0], &self.cache) {
-                    Ok(cell) => {
+                run_cell_cached(&spec, &cells[0], &self.cache)
+                    .map(|cell| {
                         let slowdown = cell
                             .slowdown_pct()
                             .map(|s| format!(",\"slowdown_pct\":{}", json_num(s)))
                             .unwrap_or_default();
-                        ok_response(
-                            id,
-                            &format!(
-                                "\"schedulable\":{},\"switches\":{}{slowdown}",
-                                cell.schedulable, cell.real.switches
-                            ),
+                        format!(
+                            "\"schedulable\":{},\"switches\":{}{slowdown}",
+                            cell.schedulable, cell.real.switches
                         )
-                    }
-                    Err(e) => error_response(id, ErrorKind::BadRequest, &e.to_string()),
-                }
+                    })
+                    .map_err(|e| (ErrorKind::BadRequest, e.to_string()))
             }
-        }
+        };
+        // The reply reports the session as of its last record. Waiting for
+        // that record costs nothing unless another connection's mutation
+        // of this session is still in flight.
+        render(id, await_durable(&self.journal, session.seq).and(result))
     }
 }
 
@@ -510,8 +538,10 @@ pub fn run(cfg: ServerConfig) -> Result<DrainSummary, String> {
     let store = SessionStore::open(&cfg.journal)
         .map_err(|e| format!("cannot open session journal: {e}"))?;
     let rebuilt = store.rebuilt();
+    let journal = Arc::clone(store.journal());
     let daemon = Arc::new(Daemon {
         state: Mutex::new(store),
+        journal,
         cache: TableCache::new(),
         metrics: ServeMetrics::new(),
         queue: Mutex::new(VecDeque::new()),
@@ -574,7 +604,7 @@ pub fn run(cfg: ServerConfig) -> Result<DrainSummary, String> {
     let answered = daemon.drained_answered.load(Ordering::Relaxed);
     daemon.metrics.event(&ServeEvent::Drained { answered });
     if let Some(prom) = &cfg.prom_file {
-        let text = serve_prometheus_text(&daemon.metrics.snapshot());
+        let text = serve_prometheus_text(&daemon.metrics_snapshot());
         let _ = std::fs::write(prom, text);
     }
     if let Bind::Unix(path) = &cfg.bind {

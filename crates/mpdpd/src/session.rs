@@ -1,13 +1,23 @@
 //! Per-client admission sessions behind a crash-safe write-ahead journal.
 //!
-//! Every session-mutating operation (`open`, `admit`, `close`) is appended
-//! to an fsynced, checksummed [`LineJournal`] *before* it executes — the
-//! same append-only idiom the sweep checkpoint journal uses, including
-//! torn-tail recovery. Because every decision in
-//! [`AdmissionSession`] is a pure function of the operation history, a
-//! SIGKILLed daemon that replays its journal reaches a byte-identical
-//! session state: the same sessions, the same admitted sets, the same
-//! subsequent answers.
+//! Every session-mutating operation (`open`, `admit`, `close`) is written
+//! to a checksummed [`LineJournal`] *before* it executes — the same
+//! append-only idiom the sweep checkpoint journal uses, including
+//! torn-tail recovery — and synced before any reply that reads it is
+//! sent. Because every decision in [`AdmissionSession`] is a pure function
+//! of the operation history, a SIGKILLed daemon that replays its journal
+//! reaches a byte-identical session state: the same sessions, the same
+//! admitted sets, the same subsequent answers.
+//!
+//! The daemon splits each mutation in two. Under its store lock it calls
+//! a `stage_*` method, which validates, writes the record, applies it and
+//! renders the reply; after releasing the lock it waits in
+//! `await_durable` for the journal's group commit. Sessions are held as
+//! `Arc<Session>`, so a query takes a refcount under the lock and
+//! computes outside it, and each session carries the sequence number of
+//! its last record for the query's reply to wait on. The durable mutators
+//! ([`SessionStore::open_session`], [`admit`](SessionStore::admit),
+//! [`close`](SessionStore::close)) stage, then sync.
 //!
 //! Records are one line each:
 //!
@@ -24,6 +34,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 
 use mpdp_analysis::{AdmissionOutcome, AdmissionSession, PartitionHeuristic, RejectReason};
 use mpdp_core::ids::TaskId;
@@ -53,12 +64,16 @@ pub struct Session {
     pub procs: usize,
     /// The analysis-side admission state.
     pub admission: AdmissionSession,
+    /// Sequence number of the last journal record applied to this session
+    /// by this process; 0 for a session only replayed from disk. A reply
+    /// that reads the session waits until this record is durable.
+    pub(crate) seq: u64,
 }
 
 /// The session map plus its write-ahead journal.
 pub struct SessionStore {
-    sessions: BTreeMap<String, Session>,
-    journal: LineJournal,
+    sessions: BTreeMap<String, Arc<Session>>,
+    journal: Arc<LineJournal>,
     rebuilt: usize,
 }
 
@@ -87,9 +102,22 @@ impl SessionStore {
         let rebuilt = sessions.len();
         Ok(SessionStore {
             sessions,
-            journal,
+            journal: Arc::new(journal),
             rebuilt,
         })
+    }
+
+    /// The write-ahead journal, shared so a caller can wait for a record
+    /// with [`await_durable`] after releasing its borrow of the store.
+    pub(crate) fn journal(&self) -> &Arc<LineJournal> {
+        &self.journal
+    }
+
+    /// Sequence number of the last journal record written. A reply that
+    /// depends on the absence of a session (`unknown_session`,
+    /// `session_exists`) waits until this record is durable.
+    pub(crate) fn written(&self) -> u64 {
+        self.journal.written()
     }
 
     /// How many sessions survived the journal replay at startup.
@@ -109,55 +137,111 @@ impl SessionStore {
 
     /// Looks up a session for a read-only query.
     pub fn get(&self, name: &str) -> Option<&Session> {
-        self.sessions.get(name)
+        self.sessions.get(name).map(Arc::as_ref)
+    }
+
+    /// A shared reference to a session's current state, for a query that
+    /// computes after releasing its borrow of the store.
+    pub(crate) fn snapshot(&self, name: &str) -> Option<Arc<Session>> {
+        self.sessions.get(name).cloned()
     }
 
     /// Opens a session over the automotive base set at `(util, procs)`.
-    /// Journaled before execution; an unschedulable base replays to the
-    /// same rejection, so the journal stays a faithful history either way.
+    /// Journaled before execution and durable on return; an unschedulable
+    /// base replays to the same rejection, so the journal stays a faithful
+    /// history either way.
     pub fn open_session(&mut self, name: &str, util: f64, procs: usize) -> OpResult {
+        let result = self.stage_open(name, util, procs);
+        self.settle(result)
+    }
+
+    /// Admits (or rejects) one aperiodic request against a session;
+    /// durable on return.
+    pub fn admit(&mut self, name: &str, task: u32, exec_us: u64, window_us: u64) -> OpResult {
+        let result = self.stage_admit(name, task, exec_us, window_us);
+        self.settle(result)
+    }
+
+    /// Closes a session, dropping its admission state; durable on return.
+    pub fn close(&mut self, name: &str) -> OpResult {
+        let result = self.stage_close(name);
+        self.settle(result)
+    }
+
+    /// [`open_session`](Self::open_session) without the sync: the reply
+    /// may be sent once [`await_durable`] up to [`written`](Self::written)
+    /// returns.
+    pub(crate) fn stage_open(&mut self, name: &str, util: f64, procs: usize) -> OpResult {
         if self.sessions.contains_key(name) {
             return Err((
                 ErrorKind::SessionExists,
                 format!("session {name} is already open"),
             ));
         }
-        self.append(&format!("open {name} {:016x} {procs}", util.to_bits()))?;
-        apply_open(&mut self.sessions, name, util, procs)
+        let seq = self.write(&format!("open {name} {:016x} {procs}", util.to_bits()))?;
+        apply_open(&mut self.sessions, name, util, procs, seq)
     }
 
-    /// Admits (or rejects) one aperiodic request against a session.
-    pub fn admit(&mut self, name: &str, task: u32, exec_us: u64, window_us: u64) -> OpResult {
+    /// [`admit`](Self::admit) without the sync, as for
+    /// [`stage_open`](Self::stage_open).
+    pub(crate) fn stage_admit(
+        &mut self,
+        name: &str,
+        task: u32,
+        exec_us: u64,
+        window_us: u64,
+    ) -> OpResult {
         if !self.sessions.contains_key(name) {
             return Err(unknown(name));
         }
-        self.append(&format!("admit {name} {task} {exec_us} {window_us}"))?;
-        apply_admit(&mut self.sessions, name, task, exec_us, window_us)
+        let seq = self.write(&format!("admit {name} {task} {exec_us} {window_us}"))?;
+        apply_admit(&mut self.sessions, name, task, exec_us, window_us, seq)
     }
 
-    /// Closes a session, dropping its admission state.
-    pub fn close(&mut self, name: &str) -> OpResult {
+    /// [`close`](Self::close) without the sync, as for
+    /// [`stage_open`](Self::stage_open).
+    pub(crate) fn stage_close(&mut self, name: &str) -> OpResult {
         if !self.sessions.contains_key(name) {
             return Err(unknown(name));
         }
-        self.append(&format!("close {name}"))?;
+        self.write(&format!("close {name}"))?;
         apply_close(&mut self.sessions, name)
     }
 
-    fn append(&self, body: &str) -> Result<(), (ErrorKind, String)> {
+    fn write(&self, body: &str) -> Result<u64, (ErrorKind, String)> {
         // A journal write failure means the guarantee (crash recovery)
         // cannot be honored for this request, so refuse it as overload
         // rather than execute an unjournaled mutation.
-        self.journal.append(body).map_err(|e| {
-            (
-                ErrorKind::Overloaded,
-                format!("journal write failed: {}", e.detail),
-            )
-        })
+        self.journal.write(body).map_err(journal_failed)
+    }
+
+    /// Waits for every record written so far, then returns `result`.
+    fn settle(&self, result: OpResult) -> OpResult {
+        await_durable(&self.journal, self.written())?;
+        result
     }
 }
 
-fn unknown(name: &str) -> (ErrorKind, String) {
+/// Waits until every record of `journal` up to `seq` is durable. A
+/// failure is the reply a mutation gets when its record cannot be made
+/// durable.
+///
+/// # Errors
+///
+/// `overloaded` "journal write failed" when the write or fsync failed or
+/// the journal is poisoned.
+pub(crate) fn await_durable(journal: &LineJournal, seq: u64) -> Result<(), (ErrorKind, String)> {
+    journal.sync(seq).map_err(journal_failed)
+}
+
+fn journal_failed(e: LineJournalError) -> (ErrorKind, String) {
+    (
+        ErrorKind::Overloaded,
+        format!("journal write failed: {}", e.detail),
+    )
+}
+
+pub(crate) fn unknown(name: &str) -> (ErrorKind, String) {
     (
         ErrorKind::UnknownSession,
         format!("no session named {name}"),
@@ -176,10 +260,11 @@ pub fn json_num(x: f64) -> String {
 }
 
 fn apply_open(
-    sessions: &mut BTreeMap<String, Session>,
+    sessions: &mut BTreeMap<String, Arc<Session>>,
     name: &str,
     util: f64,
     procs: usize,
+    seq: u64,
 ) -> OpResult {
     let set = automotive_task_set(util, procs, DEFAULT_TICK);
     let tasks = set.periodic.len();
@@ -188,11 +273,12 @@ fn apply_open(
             let base: f64 = admission.periodic().iter().map(|t| t.utilization()).sum();
             sessions.insert(
                 name.to_string(),
-                Session {
+                Arc::new(Session {
                     util,
                     procs,
                     admission,
-                },
+                    seq,
+                }),
             );
             Ok(format!(
                 "\"session\":\"{name}\",\"tasks\":{tasks},\"base_utilization\":{}",
@@ -207,13 +293,16 @@ fn apply_open(
 }
 
 fn apply_admit(
-    sessions: &mut BTreeMap<String, Session>,
+    sessions: &mut BTreeMap<String, Arc<Session>>,
     name: &str,
     task: u32,
     exec_us: u64,
     window_us: u64,
+    seq: u64,
 ) -> OpResult {
-    let session = sessions.get_mut(name).ok_or_else(|| unknown(name))?;
+    // Copy on write: a query still holding the old state keeps it.
+    let session = Arc::make_mut(sessions.get_mut(name).ok_or_else(|| unknown(name))?);
+    session.seq = seq;
     let req = AperiodicTask::new(
         TaskId::new(task),
         format!("ap{task}"),
@@ -246,7 +335,7 @@ fn apply_admit(
     }
 }
 
-fn apply_close(sessions: &mut BTreeMap<String, Session>, name: &str) -> OpResult {
+fn apply_close(sessions: &mut BTreeMap<String, Arc<Session>>, name: &str) -> OpResult {
     let session = sessions.remove(name).ok_or_else(|| unknown(name))?;
     Ok(format!(
         "\"closed\":\"{name}\",\"admitted\":{}",
@@ -257,7 +346,7 @@ fn apply_close(sessions: &mut BTreeMap<String, Session>, name: &str) -> OpResult
 /// Replays one journal record body. Returns `None` when the record does
 /// not parse (the caller truncates the journal there); op-level rejections
 /// replay to the same rejection and are *not* parse failures.
-fn replay_record(sessions: &mut BTreeMap<String, Session>, body: &str) -> Option<()> {
+fn replay_record(sessions: &mut BTreeMap<String, Arc<Session>>, body: &str) -> Option<()> {
     let mut parts = body.split(' ');
     let verb = parts.next()?;
     match verb {
@@ -268,7 +357,7 @@ fn replay_record(sessions: &mut BTreeMap<String, Session>, body: &str) -> Option
             if parts.next().is_some() || !(util > 0.0 && util < 1.0) || !(1..=16).contains(&procs) {
                 return None;
             }
-            let _ = apply_open(sessions, name, util, procs);
+            let _ = apply_open(sessions, name, util, procs, 0);
         }
         "admit" => {
             let name = parts.next()?;
@@ -278,7 +367,7 @@ fn replay_record(sessions: &mut BTreeMap<String, Session>, body: &str) -> Option
             if parts.next().is_some() || exec_us.max(window_us) > MAX_DEMAND_US {
                 return None;
             }
-            let _ = apply_admit(sessions, name, task, exec_us, window_us);
+            let _ = apply_admit(sessions, name, task, exec_us, window_us, 0);
         }
         "close" => {
             let name = parts.next()?;
@@ -409,6 +498,27 @@ mod tests {
         assert!(s.admission.admitted().is_empty());
         let journal = LineJournal::open(&path, JOURNAL_MAGIC, JOURNAL_FINGERPRINT).expect("opens");
         assert_eq!(journal.recovered().len(), 1, "truncated after the open");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_staged_admit_copies_on_write_and_waits_for_its_sync() {
+        let d = dir("stage");
+        let mut store = SessionStore::open(&d.join("j.mpdpd")).expect("opens");
+        store.open_session("s", 0.4, 2).expect("opens");
+        let before = store.snapshot("s").expect("s");
+        let body = store.stage_admit("s", 100, 200, 100_000).expect("admits");
+        assert!(body.contains("\"admitted\":true"), "{body}");
+        // The query's snapshot keeps the state and record it was taken at.
+        assert_eq!((before.seq, before.admission.admitted().len()), (1, 0));
+        let after = store.snapshot("s").expect("s");
+        assert_eq!((after.seq, after.admission.admitted().len()), (2, 1));
+        let journal = Arc::clone(store.journal());
+        assert_eq!(journal.syncs(), 1, "only the open is synced");
+        await_durable(&journal, after.seq).expect("syncs");
+        assert_eq!(journal.syncs(), 2);
+        await_durable(&journal, before.seq).expect("already durable");
+        assert_eq!(journal.syncs(), 2);
         let _ = std::fs::remove_dir_all(&d);
     }
 

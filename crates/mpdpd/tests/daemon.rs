@@ -1,11 +1,13 @@
 //! End-to-end tests against the real `mpdpd` binary: protocol round
-//! trips, SIGKILL crash recovery, overload shedding, typed timeouts, and
-//! the SIGTERM graceful drain through the sh trampoline.
+//! trips, SIGKILL crash recovery (also mid-stream under group commit),
+//! journal poisoning by a real write failure, overload shedding, typed
+//! timeouts, and the SIGTERM graceful drain through the sh trampoline.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use mpdp_mpdpd::Client;
@@ -24,6 +26,27 @@ impl Daemon {
     }
 
     fn spawn(tag: &str, extra: &[&str], inner: bool, dir: Option<PathBuf>) -> Daemon {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mpdpd"));
+        if inner {
+            cmd.env("MPDPD_INNER", "1");
+        } else {
+            cmd.env_remove("MPDPD_INNER").env_remove("MPDPD_WRAPPED");
+        }
+        Daemon::start(tag, cmd, extra, dir)
+    }
+
+    /// Spawns the server in inner mode under a 512-byte file-size limit
+    /// with SIGXFSZ ignored (both carry across `exec`): the journal write
+    /// that crosses the limit is partial and fails with EFBIG.
+    fn spawn_with_file_limit(tag: &str) -> Daemon {
+        let mut cmd = Command::new("/bin/sh");
+        cmd.args(["-c", r#"trap '' XFSZ; ulimit -f 1; exec "$0" "$@""#])
+            .arg(env!("CARGO_BIN_EXE_mpdpd"))
+            .env("MPDPD_INNER", "1");
+        Daemon::start(tag, cmd, &[], None)
+    }
+
+    fn start(tag: &str, mut cmd: Command, extra: &[&str], dir: Option<PathBuf>) -> Daemon {
         let dir = dir.unwrap_or_else(|| {
             let d = std::env::temp_dir().join(format!("mpdpd-it-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&d);
@@ -32,7 +55,6 @@ impl Daemon {
         });
         let socket = dir.join("mpdpd.sock");
         let _ = std::fs::remove_file(&socket);
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_mpdpd"));
         cmd.arg("--socket")
             .arg(&socket)
             .arg("--journal")
@@ -40,11 +62,6 @@ impl Daemon {
             .args(extra)
             .stdout(Stdio::null())
             .stderr(Stdio::null());
-        if inner {
-            cmd.env("MPDPD_INNER", "1");
-        } else {
-            cmd.env_remove("MPDPD_INNER").env_remove("MPDPD_WRAPPED");
-        }
         let child = cmd.spawn().expect("spawn mpdpd");
         let daemon = Daemon { child, socket, dir };
         daemon.await_ready();
@@ -74,6 +91,13 @@ impl Daemon {
         let _ = self.child.kill();
         let _ = self.child.wait();
         let _ = std::fs::remove_dir_all(&self.dir);
+    }
+
+    /// SIGKILLs the server and returns its directory for a relaunch.
+    fn sigkill(mut self) -> PathBuf {
+        self.child.kill().expect("sigkill");
+        let _ = self.child.wait();
+        self.dir
     }
 }
 
@@ -235,7 +259,7 @@ fn sigkill_recovery_rebuilds_sessions_byte_identically() {
         .call(r#"{"op":"query","id":9,"session":"beta"}"#)
         .expect("verdict");
 
-    // SIGKILL: no drain, no flush beyond the per-append fsync.
+    // SIGKILL: no drain, no flush beyond the fsync each reply waited for.
     let mut child = d.child;
     child.kill().expect("sigkill");
     let _ = child.wait();
@@ -342,6 +366,156 @@ fn overload_sheds_best_effort_but_never_guaranteed() {
         "{metrics}"
     );
     d.cleanup();
+}
+
+#[test]
+fn an_open_refused_for_its_base_is_journaled_and_counted() {
+    let d = Daemon::spawn_inner("unschedulable", &[]);
+    let mut c = d.connect();
+    let open = c
+        .call(r#"{"op":"open","id":1,"session":"s","util":0.95,"procs":1}"#)
+        .expect("open");
+    assert!(open.contains("\"error\":\"unschedulable_base\""), "{open}");
+    // The record is written before the base is analysed, and replays to
+    // the same refusal.
+    let stats = c.call(r#"{"op":"stats","id":2}"#).expect("stats");
+    assert_eq!(field(&stats, "journal_appends"), 1, "{stats}");
+    assert_eq!(field(&stats, "journal_syncs"), 1, "{stats}");
+    d.cleanup();
+}
+
+/// A reply without its `"id":N` prefix, for comparing replies to
+/// different requests.
+fn without_id(reply: &str) -> &str {
+    &reply[reply.find(",\"ok\"").unwrap_or(0)..]
+}
+
+#[test]
+fn a_failed_journal_write_poisons_the_journal_and_loses_no_acknowledged_mutation() {
+    let d = Daemon::spawn_with_file_limit("efbig");
+    let mut c = d.connect();
+    let open = c
+        .call(r#"{"op":"open","id":1,"session":"s","util":0.4,"procs":2}"#)
+        .expect("open");
+    assert!(open.contains("\"ok\":true"), "{open}");
+    let mut acknowledged = 0;
+    let failed = loop {
+        assert!(
+            acknowledged < 100,
+            "no journal write hit the file-size limit"
+        );
+        let reply = c
+            .call(&format!(
+                r#"{{"op":"admit","id":2,"session":"s","task":{},"exec_us":1,"window_us":10000000}}"#,
+                100 + acknowledged
+            ))
+            .expect("admit");
+        if reply.contains("\"ok\":false") {
+            break reply;
+        }
+        assert!(reply.contains("\"admitted\":true"), "{reply}");
+        acknowledged += 1;
+    };
+    assert!(
+        failed.contains("\"error\":\"overloaded\"") && failed.contains("journal write failed"),
+        "{failed}"
+    );
+    let verdict = c
+        .call(r#"{"op":"query","id":3,"session":"s"}"#)
+        .expect("verdict");
+    assert!(
+        verdict.contains(&format!("\"admitted\":{acknowledged}")),
+        "{verdict}"
+    );
+    // Every later mutation is refused the same way; reads still answer.
+    for later in [
+        r#"{"op":"admit","id":4,"session":"s","task":999,"exec_us":1,"window_us":10000000}"#,
+        r#"{"op":"open","id":5,"session":"t","util":0.4,"procs":2}"#,
+        r#"{"op":"close","id":6,"session":"s"}"#,
+    ] {
+        let reply = c.call(later).expect("mutation answered");
+        assert_eq!(without_id(&reply), without_id(&failed), "{later}");
+    }
+    let pong = c.call(r#"{"op":"ping","id":7}"#).expect("ping");
+    assert!(pong.contains("\"pong\":true"), "{pong}");
+    let again = c
+        .call(r#"{"op":"query","id":3,"session":"s"}"#)
+        .expect("verdict");
+    assert_eq!(again, verdict);
+
+    // Without the limit, the same journal rebuilds exactly what was
+    // acknowledged: the torn record is truncated, nothing follows it.
+    let dir = d.sigkill();
+    let d2 = Daemon::spawn("efbig-relaunch", &[], true, Some(dir));
+    let mut c2 = d2.connect();
+    let rebuilt = c2
+        .call(r#"{"op":"query","id":3,"session":"s"}"#)
+        .expect("verdict after relaunch");
+    assert_eq!(rebuilt, verdict, "byte-identical after relaunch");
+    let ghost = c2
+        .call(r#"{"op":"query","id":8,"session":"t"}"#)
+        .expect("query t");
+    assert!(ghost.contains("\"error\":\"unknown_session\""), "{ghost}");
+    d2.cleanup();
+}
+
+#[test]
+fn sigkill_mid_stream_loses_no_acknowledged_admit() {
+    const CONNECTIONS: usize = 4;
+    let d = Daemon::spawn_inner("group-kill", &[]);
+    let opened = Arc::new(Barrier::new(CONNECTIONS + 1));
+    let streams: Vec<_> = (0..CONNECTIONS)
+        .map(|k| {
+            let mut c = d.connect();
+            let opened = Arc::clone(&opened);
+            std::thread::spawn(move || {
+                let open = c
+                    .call(&format!(
+                        r#"{{"op":"open","id":1,"session":"g{k}","util":0.4,"procs":2}}"#
+                    ))
+                    .expect("open");
+                assert!(open.contains("\"ok\":true"), "{open}");
+                opened.wait();
+                // One admit in flight at a time, until the kill cuts the
+                // connection: at most one record is written but not
+                // acknowledged.
+                let mut acknowledged = 0u64;
+                while let Ok(reply) = c.call(&format!(
+                    r#"{{"op":"admit","id":2,"session":"g{k}","task":{},"exec_us":1,"window_us":10000000}}"#,
+                    100 + acknowledged
+                )) {
+                    assert!(reply.contains("\"admitted\":true"), "{reply}");
+                    acknowledged += 1;
+                }
+                acknowledged
+            })
+        })
+        .collect();
+    opened.wait();
+    std::thread::sleep(Duration::from_millis(300));
+    let dir = d.sigkill();
+    let acknowledged: Vec<u64> = streams
+        .into_iter()
+        .map(|s| s.join().expect("stream thread"))
+        .collect();
+
+    let d2 = Daemon::spawn("group-kill-relaunch", &[], true, Some(dir));
+    let mut c2 = d2.connect();
+    for (k, acked) in acknowledged.into_iter().enumerate() {
+        assert!(
+            acked > 0,
+            "session g{k} acknowledged no admit before the kill"
+        );
+        let verdict = c2
+            .call(&format!(r#"{{"op":"query","id":3,"session":"g{k}"}}"#))
+            .expect("verdict after relaunch");
+        let rebuilt = field(&verdict, "admitted");
+        assert!(
+            rebuilt == acked || rebuilt == acked + 1,
+            "session g{k}: {acked} admits acknowledged, {rebuilt} rebuilt: {verdict}"
+        );
+    }
+    d2.cleanup();
 }
 
 /// Extracts `"...<name>":<value>` from a flat JSON stats line, tolerating

@@ -12,7 +12,10 @@
 //!
 //! The directory holds append-only segment files (`seg-<pid>.mpdpc`),
 //! one per writing process, each a [`LineJournal`] with the standard
-//! fsync + per-record-checksum + torn-tail-recovery discipline. The
+//! per-record-checksum + torn-tail-recovery discipline. Records are
+//! written without an fsync: a killed process loses nothing (its records
+//! are already in the page cache), and a power cut loses at most a tail
+//! of records, which become misses. The
 //! header fingerprint is the FNV-1a of [`ENGINE_VERSION`], implementing
 //! the `(cell fingerprint, engine version)` key: bumping the engine
 //! version orphans every old segment instead of replaying stale results.
@@ -48,7 +51,7 @@ use crate::engine::{CellResult, StackResult};
 use crate::error::SweepError;
 use crate::fingerprint::{cell_fingerprint, ENGINE_VERSION};
 use crate::journal::{format_stack, parse_stack};
-use crate::linejournal::{scan, LineJournal};
+use crate::linejournal::{scan, LineJournal, RECORD_OVERHEAD};
 use crate::spec::{CellSpec, SweepSpec};
 
 /// Magic + version tag of cache segment headers.
@@ -290,8 +293,8 @@ impl CellCache {
     }
 
     /// Inserts a freshly computed cell. The in-memory map always takes
-    /// the entry; the durable append is advisory (a full disk costs
-    /// future hits, not this sweep).
+    /// the entry; the segment write is advisory and unsynced (a full disk
+    /// or a power cut costs future hits, not this sweep).
     pub fn insert(&self, spec: &SweepSpec, cell: &CellSpec, result: &CellResult) {
         let digest = cell_fingerprint(spec, cell);
         let entry = CachedCell {
@@ -300,9 +303,9 @@ impl CellCache {
             real: result.real.clone(),
         };
         let body = format_cache_body(digest, &entry);
-        if self.segment.append(&body).is_ok() {
+        if self.segment.write(&body).is_ok() {
             self.bytes
-                .fetch_add(body.len() as u64 + 19, Ordering::Relaxed);
+                .fetch_add(body.len() as u64 + RECORD_OVERHEAD, Ordering::Relaxed);
         }
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         entries.insert(digest, entry);

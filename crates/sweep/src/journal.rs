@@ -43,11 +43,11 @@ pub(crate) const MAGIC: &str = "MPDPJ1";
 
 /// An open checkpoint journal: the records recovered from disk plus an
 /// append handle. Appends are serialized through an internal mutex and
-/// fsynced one by one, so the file is consistent after a kill at any
-/// instant.
+/// durable on return (workers appending at once may share one fsync), so
+/// the file is consistent after a kill at any instant.
 ///
 /// The file mechanics (header binding, per-record checksums, torn-tail
-/// truncation, fsync discipline) live in the generic [`LineJournal`];
+/// truncation, group commit) live in the generic [`LineJournal`];
 /// this type adds the sweep-domain record format and its semantic
 /// validation against the [`SweepSpec`].
 #[derive(Debug)]

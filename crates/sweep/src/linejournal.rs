@@ -1,16 +1,33 @@
 //! The generic crash-safe append-only line journal underneath
 //! [`Journal`](crate::Journal) — extracted so other subsystems (the
-//! `mpdpd` admission daemon's session journal) can reuse the exact
-//! recovery discipline the sweep checkpoints proved out:
+//! `mpdpd` admission daemon's session journal, the cell cache's segments)
+//! can reuse the exact recovery discipline the sweep checkpoints proved
+//! out:
 //!
 //! - a header line `<MAGIC> fp=<16-hex fingerprint>` binding the file to
 //!   one writer configuration; a mismatch is an error, a torn header (a
 //!   kill mid-first-write) resets the file;
 //! - one record per line, each carrying a ` #<16-hex FNV-1a>` checksum of
-//!   its body, fsynced as written;
+//!   its body;
 //! - on open, records are recovered in order and the file is truncated at
 //!   the first torn or checksum-failing line — a crash loses at most the
-//!   record being written, never the file.
+//!   records not yet synced, never the file.
+//!
+//! Writing and syncing are two steps. [`write`](LineJournal::write) puts a
+//! record in the file and returns its sequence number;
+//! [`sync`](LineJournal::sync) makes every record up to a sequence number
+//! durable by group commit: it returns at once if they already are, waits
+//! if another thread's fsync is running, and otherwise leads one fsync
+//! that covers every record written before it began. The fsync runs
+//! through a second handle with no lock held, so writers never wait behind
+//! the disk. [`append`](LineJournal::append) is both steps, durable on
+//! return.
+//!
+//! A failed write may leave a torn fragment, and a failed fsync may have
+//! lost dirty pages the kernel will not write again, so either failure
+//! poisons the journal: every later write, and every sync past the last
+//! durable record, returns the first error. A failed fsync is never
+//! retried.
 //!
 //! This layer knows nothing about record *content*: callers get the
 //! recovered bodies back as strings, validate them domain-side, and may
@@ -22,12 +39,13 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 use mpdp_core::hash::fnv1a;
 
 /// Bytes a record line adds to its body: ` #`, 16 hex digits, newline.
-const RECORD_OVERHEAD: u64 = 19;
+pub(crate) const RECORD_OVERHEAD: u64 = 19;
 
 /// What one read-only pass over a line-journal file found. This is the
 /// format's one reader: [`LineJournal::open`] recovery, the shard merge,
@@ -119,15 +137,40 @@ impl fmt::Display for LineJournalError {
 impl Error for LineJournalError {}
 
 /// An open append-only journal: the record bodies recovered from disk
-/// plus an append handle. Appends are serialized through an internal
-/// mutex and fsynced one by one, so the file is consistent after a kill
-/// at any instant.
+/// plus an append handle. Writes are serialized through an internal mutex
+/// and numbered from 1 per handle; [`sync`](Self::sync) group-commits
+/// them, so the file is consistent after a kill at any instant and every
+/// synced record survives it.
 #[derive(Debug)]
 pub struct LineJournal {
     path: PathBuf,
+    /// The write handle, held across one record's `write_all` only.
     file: Mutex<File>,
+    /// A second handle on the same file: the group-commit leader fsyncs
+    /// through it without holding `file`.
+    sync_handle: File,
+    /// Sequence number of the last record fully written: stored with
+    /// `Release` after its `write_all` returns, so a leader's `Acquire`
+    /// load covers only records already in the file.
+    written: AtomicU64,
+    commit: Mutex<Commit>,
+    /// Signalled when a leader's fsync ends.
+    committed: Condvar,
+    /// Fsyncs issued by [`sync`](Self::sync).
+    syncs: AtomicU64,
+    /// The first write or fsync failure, as its error detail.
+    poison: OnceLock<String>,
     header_len: u64,
     recovered: Vec<String>,
+}
+
+/// Group-commit state, under the journal's `commit` mutex.
+#[derive(Debug, Default)]
+struct Commit {
+    /// Every record up to this sequence number is on disk.
+    durable: u64,
+    /// A leader's fsync is running.
+    syncing: bool,
 }
 
 impl LineJournal {
@@ -189,9 +232,18 @@ impl LineJournal {
                 header.trim_end()
             )));
         }
+        let sync_handle = file
+            .try_clone()
+            .map_err(|e| err(format!("cannot clone handle: {e}")))?;
         Ok(LineJournal {
             path: path.to_path_buf(),
             file: Mutex::new(file),
+            sync_handle,
+            written: AtomicU64::new(0),
+            commit: Mutex::new(Commit::default()),
+            committed: Condvar::new(),
+            syncs: AtomicU64::new(0),
+            poison: OnceLock::new(),
             header_len: header.len() as u64,
             recovered: scan.bodies.iter().map(|body| body.to_string()).collect(),
         })
@@ -239,26 +291,115 @@ impl LineJournal {
         Ok(())
     }
 
-    /// Appends one record and fsyncs. The checksum suffix is added here;
-    /// `body` must be a single line.
+    /// Sequence number of the last record written through this handle;
+    /// 0 before the first.
+    pub fn written(&self) -> u64 {
+        self.written.load(Ordering::Acquire)
+    }
+
+    /// Fsyncs [`sync`](Self::sync) has issued through this handle. Records
+    /// written divided by this is the mean group-commit batch.
+    pub fn syncs(&self) -> u64 {
+        self.syncs.load(Ordering::Relaxed)
+    }
+
+    /// Writes one record without syncing it and returns its sequence
+    /// number. The checksum suffix is added here; `body` must be a single
+    /// line.
     ///
     /// # Errors
     ///
-    /// [`LineJournalError`] if `body` contains a newline or I/O fails.
-    pub fn append(&self, body: &str) -> Result<(), LineJournalError> {
-        let err = |detail: String| LineJournalError {
-            path: self.path.display().to_string(),
-            detail,
-        };
+    /// [`LineJournalError`] if `body` contains a newline, the write fails
+    /// (which poisons the journal), or the journal is poisoned.
+    pub fn write(&self, body: &str) -> Result<u64, LineJournalError> {
         if body.contains('\n') {
-            return Err(err("record body must be a single line".to_string()));
+            return Err(self.err("record body must be a single line".to_string()));
         }
         let line = format!("{body} #{:016x}\n", fnv1a(body.as_bytes()));
         let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())
-            .map_err(|e| err(format!("cannot append: {e}")))?;
-        file.sync_data()
-            .map_err(|e| err(format!("cannot sync: {e}")))
+        self.check_poison()?;
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            // Nothing may land after a torn fragment: recovery would
+            // truncate there and drop it.
+            return Err(self.poison(format!("cannot append: {e}")));
+        }
+        let seq = self.written.load(Ordering::Relaxed) + 1;
+        self.written.store(seq, Ordering::Release);
+        Ok(seq)
+    }
+
+    /// Returns once every record up to `seq` is durable. If another
+    /// thread's fsync is running, waits for it; if that did not cover
+    /// `seq`, or none was running, leads the next fsync, which covers
+    /// every record written before it began. A `seq` past the last record
+    /// written waits for that record.
+    ///
+    /// # Errors
+    ///
+    /// [`LineJournalError`] if the fsync fails (which poisons the
+    /// journal), or if the journal is poisoned and `seq` is not yet
+    /// durable.
+    pub fn sync(&self, seq: u64) -> Result<(), LineJournalError> {
+        let seq = seq.min(self.written());
+        let mut commit = self.commit.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if commit.durable >= seq {
+                return Ok(());
+            }
+            self.check_poison()?;
+            if !commit.syncing {
+                break;
+            }
+            commit = self
+                .committed
+                .wait(commit)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        commit.syncing = true;
+        drop(commit);
+        let mark = self.written();
+        let synced = self.sync_handle.sync_data();
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        let result = synced.map_err(|e| self.poison(format!("cannot sync: {e}")));
+        let mut commit = self.commit.lock().unwrap_or_else(|e| e.into_inner());
+        commit.syncing = false;
+        if result.is_ok() {
+            commit.durable = mark;
+        }
+        drop(commit);
+        self.committed.notify_all();
+        result
+    }
+
+    /// Writes one record and returns once it is durable:
+    /// [`write`](Self::write), then [`sync`](Self::sync).
+    ///
+    /// # Errors
+    ///
+    /// As for [`write`](Self::write) and [`sync`](Self::sync).
+    pub fn append(&self, body: &str) -> Result<(), LineJournalError> {
+        let seq = self.write(body)?;
+        self.sync(seq)
+    }
+
+    /// Poisons the journal with `detail` unless it already is, and returns
+    /// the poisoning error.
+    fn poison(&self, detail: String) -> LineJournalError {
+        self.err(self.poison.get_or_init(|| detail).clone())
+    }
+
+    fn check_poison(&self) -> Result<(), LineJournalError> {
+        match self.poison.get() {
+            Some(detail) => Err(self.err(detail.clone())),
+            None => Ok(()),
+        }
+    }
+
+    fn err(&self, detail: String) -> LineJournalError {
+        LineJournalError {
+            path: self.path.display().to_string(),
+            detail,
+        }
     }
 }
 
@@ -324,6 +465,23 @@ mod tests {
         drop(j);
         let j = LineJournal::open(&path, "TESTJ1", 7).expect("reopens");
         assert_eq!(j.recovered(), ["good 1", "good 2"]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn one_fsync_covers_every_record_written_before_it() {
+        let path = tempfile("group");
+        let j = LineJournal::open(&path, "TESTJ1", 7).expect("creates");
+        let r1 = j.write("r1").expect("writes");
+        let r2 = j.write("r2").expect("writes");
+        assert_eq!((r1, r2, j.written()), (1, 2, 2));
+        j.sync(r1).expect("syncs");
+        assert_eq!(j.syncs(), 1);
+        j.sync(r2).expect("already durable");
+        assert_eq!(j.syncs(), 1, "r2 rode r1's fsync");
+        drop(j);
+        let j = LineJournal::open(&path, "TESTJ1", 7).expect("reopens");
+        assert_eq!(j.recovered(), ["r1", "r2"]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -120,7 +120,7 @@ pub enum ServeEvent {
     RejectedGuaranteed,
     /// A line that did not parse into a request.
     BadRequest,
-    /// One session-mutating record was fsynced into the session journal.
+    /// One session-mutating record was written to the session journal.
     JournalAppend,
     /// One session was rebuilt from the journal at startup.
     SessionRebuilt,
@@ -149,8 +149,13 @@ pub struct ServeSnapshot {
     pub rejected_guaranteed: u64,
     /// Lines that did not parse.
     pub bad_requests: u64,
-    /// Session-journal records fsynced.
+    /// Session-journal records written.
     pub journal_appends: u64,
+    /// Fsyncs the session journal issued. One fsync covers every record
+    /// written before it began, so `journal_appends / journal_syncs` is
+    /// the mean group-commit batch. No event feeds it: the daemon copies
+    /// the journal's own count into each snapshot it exports.
+    pub journal_syncs: u64,
     /// Sessions rebuilt from the journal at startup.
     pub sessions_rebuilt: u64,
     /// Graceful drains completed.
@@ -176,6 +181,7 @@ const SERVE_COUNTERS: &[ServeCounter] = &[
     ("rejected_guaranteed", |s| s.rejected_guaranteed),
     ("bad_requests", |s| s.bad_requests),
     ("journal_appends", |s| s.journal_appends),
+    ("journal_syncs", |s| s.journal_syncs),
     ("sessions_rebuilt", |s| s.sessions_rebuilt),
     ("drains", |s| s.drains),
     ("drained_answered", |s| s.drained_answered),
@@ -231,6 +237,7 @@ impl ServeSnapshot {
         self.rejected_guaranteed += other.rejected_guaranteed;
         self.bad_requests += other.bad_requests;
         self.journal_appends += other.journal_appends;
+        self.journal_syncs += other.journal_syncs;
         self.sessions_rebuilt += other.sessions_rebuilt;
         self.drains += other.drains;
         self.drained_answered += other.drained_answered;
