@@ -27,6 +27,22 @@
 //! load approaches capacity, `W` grows, speeds shrink, and `ρ` stays below 1
 //! — the saturation behaviour a real bus exhibits. The model is validated
 //! against the cycle-accurate arbiter in this crate's tests.
+//!
+//! ## Operating-point table
+//!
+//! A simulator re-solves the model on every scheduling event, but the rate
+//! vectors it asks about come from a tiny alphabet (idle, kernel burst, ISR
+//! burst, one rate per task memory profile) and recur across runs, so
+//! [`ContentionModel::cached_speeds_into`] and
+//! [`ContentionModel::cached_queueing_delay`] answer from a bounded table
+//! per thread: one damped solve per distinct vector and service time, and
+//! a hit is bit-equal to a solve because the solve is a pure function of
+//! its key.
+
+use std::cell::RefCell;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::bus::DDR_SERVICE_CYCLES;
 use mpdp_core::task::MemoryProfile;
@@ -41,6 +57,15 @@ const EPSILON: f64 = 1e-9;
 /// Damping factor for the fixed-point update (guards oscillation near
 /// saturation).
 const DAMPING: f64 = 0.5;
+/// Operating points a thread's table holds before it starts over. A
+/// 1,125-cell Figure 4 sweep visits under 900 distinct rate vectors, so
+/// the cap only bounds memory under inputs that keep producing new ones.
+const TABLE_CAP: usize = 4_096;
+
+thread_local! {
+    /// This thread's solved operating points.
+    static OPERATING_POINTS: RefCell<RateMemo> = const { RefCell::new(RateMemo::new()) };
+}
 
 /// Analytic bus-contention model for one shared bus.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,6 +223,53 @@ impl ContentionModel {
         self.wait_time(rho)
     }
 
+    /// [`ContentionModel::speeds_into`] answered from the calling thread's
+    /// operating-point table: bit-equal to a solve, which runs only the
+    /// first time this thread meets the vector (or after the table
+    /// filled up and started over).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any rate is negative or not finite.
+    pub fn cached_speeds_into(&self, access_rates: &[f64], out: &mut Vec<f64>) {
+        self.operating_point(access_rates, |speeds, _| {
+            out.clear();
+            out.extend_from_slice(speeds);
+        });
+    }
+
+    /// [`ContentionModel::queueing_delay`] answered from the same
+    /// per-thread table as [`ContentionModel::cached_speeds_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any rate is negative or not finite.
+    pub fn cached_queueing_delay(&self, access_rates: &[f64]) -> f64 {
+        self.operating_point(access_rates, |_, delay| delay)
+    }
+
+    /// Hands `read` the speeds and queueing delay of `access_rates` from
+    /// this thread's table, solving and inserting them on a miss. The
+    /// table is borrowed for this one lookup or solve-and-insert; the
+    /// solve itself never reaches the table.
+    fn operating_point<R>(&self, access_rates: &[f64], read: impl FnOnce(&[f64], f64) -> R) -> R {
+        OPERATING_POINTS.with_borrow_mut(|memo| {
+            if let Some((speeds, delay)) = memo.get(self.service, access_rates) {
+                return read(speeds, delay);
+            }
+            let mut speeds = std::mem::take(&mut memo.scratch);
+            let delay = self.queueing_delay(access_rates, &mut speeds);
+            #[cfg(test)]
+            {
+                memo.solves += 1;
+            }
+            memo.insert(self.service, access_rates, &speeds, delay);
+            let out = read(&speeds, delay);
+            memo.scratch = speeds;
+            out
+        })
+    }
+
     /// The contention *excess* of a priced kernel burst: how many of its
     /// `priced` wall cycles exceed the uncontended cost of `cpu` execution
     /// cycles plus `bus_words` transactions at the deterministic service
@@ -223,6 +295,136 @@ impl ContentionModel {
 impl Default for ContentionModel {
     fn default() -> Self {
         ContentionModel::new()
+    }
+}
+
+/// The bits a rate contributes to a memo key, with -0.0 canonicalized to
+/// +0.0 (`r + 0.0` — IEEE 754 addition returns +0.0 for -0.0 + 0.0). The
+/// fixed point and the queueing delay are pure functions of the rate
+/// *values*, and -0.0 and +0.0 compare equal, so the two encodings must
+/// share one entry; keying on raw `to_bits` split them into duplicates.
+fn rate_key(rate: f64) -> u64 {
+    (rate + 0.0).to_bits()
+}
+
+/// Word-wise multiply-rotate hasher for the operating-point table. Its
+/// keys are rate vectors a simulator computes itself, never outside
+/// input, so SipHash's resistance to crafted collisions buys nothing
+/// there, while its cost is paid on most event-loop iterations (the rate
+/// vector changes on most of them).
+#[derive(Debug, Clone, Copy, Default)]
+struct RateKeyHasher(u64);
+
+impl Hasher for RateKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The 64-bit fingerprint [`RateMemo`] indexes an operating point by: the
+/// model's service time, then every rate's [`rate_key`].
+fn fingerprint(service: f64, rates: &[f64]) -> u64 {
+    let mut hasher = RateKeyHasher::default();
+    hasher.write_u64(service.to_bits());
+    for &rate in rates {
+        hasher.write_u64(rate_key(rate));
+    }
+    hasher.finish()
+}
+
+/// Where one memoized operating point lives in a [`RateMemo`].
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    /// Bits of the service time it was solved under.
+    service: u64,
+    /// Start of its rate keys in `RateMemo::rates` and of its speeds in
+    /// `RateMemo::speeds`.
+    at: usize,
+    /// Number of processors.
+    width: usize,
+    /// Mean queueing delay at this operating point.
+    delay: f64,
+}
+
+/// Memo of solved operating points, keyed by service time and rate
+/// vector. Rate keys and speeds sit back to back in two flat arrays, found
+/// through a map from each key's 64-bit fingerprint, so a new entry costs
+/// only amortized growth, never an allocation of its own. Should two
+/// distinct keys share a fingerprint, the later one is simply never
+/// memoized: the value is a pure function of the key, so solving it again
+/// is bit-equal to a hit. At [`TABLE_CAP`] entries the memo starts over,
+/// keeping its buffers.
+#[derive(Debug)]
+struct RateMemo {
+    index: HashMap<u64, usize, BuildHasherDefault<RateKeyHasher>>,
+    points: Vec<Point>,
+    rates: Vec<u64>,
+    speeds: Vec<f64>,
+    /// Buffer a miss solves into.
+    scratch: Vec<f64>,
+    /// Damped solves run through this memo.
+    #[cfg(test)]
+    solves: u64,
+}
+
+impl RateMemo {
+    const fn new() -> Self {
+        RateMemo {
+            index: HashMap::with_hasher(BuildHasherDefault::new()),
+            points: Vec::new(),
+            rates: Vec::new(),
+            speeds: Vec::new(),
+            scratch: Vec::new(),
+            #[cfg(test)]
+            solves: 0,
+        }
+    }
+
+    /// The speeds and queueing delay memoized for `rates` under `service`.
+    fn get(&self, service: f64, rates: &[f64]) -> Option<(&[f64], f64)> {
+        let &entry = self.index.get(&fingerprint(service, rates))?;
+        let point = self.points[entry];
+        if point.service != service.to_bits() || point.width != rates.len() {
+            return None;
+        }
+        let span = point.at..point.at + point.width;
+        let same = self.rates[span.clone()]
+            .iter()
+            .zip(rates)
+            .all(|(&key, &rate)| key == rate_key(rate));
+        same.then(|| (&self.speeds[span], point.delay))
+    }
+
+    /// Memoizes an operating point unless its fingerprint is taken.
+    fn insert(&mut self, service: f64, rates: &[f64], speeds: &[f64], delay: f64) {
+        if self.points.len() == TABLE_CAP {
+            self.index.clear();
+            self.points.clear();
+            self.rates.clear();
+            self.speeds.clear();
+        }
+        let entry = self.points.len();
+        if let Entry::Vacant(slot) = self.index.entry(fingerprint(service, rates)) {
+            slot.insert(entry);
+            self.points.push(Point {
+                service: service.to_bits(),
+                at: self.speeds.len(),
+                width: rates.len(),
+                delay,
+            });
+            self.rates.extend(rates.iter().map(|&rate| rate_key(rate)));
+            self.speeds.extend_from_slice(speeds);
+        }
     }
 }
 
@@ -375,5 +577,111 @@ mod tests {
     #[test]
     fn empty_input() {
         assert!(ContentionModel::new().speeds(&[]).is_empty());
+    }
+
+    /// Runs `f` on a new thread, so it starts with an empty table.
+    fn on_fresh_thread(f: impl FnOnce() + Send) {
+        std::thread::scope(|s| {
+            s.spawn(f);
+        });
+    }
+
+    /// Damped solves this thread's table has run.
+    fn solves() -> u64 {
+        OPERATING_POINTS.with_borrow(|memo| memo.solves)
+    }
+
+    /// Asserts the cached answers for `rates` are bit-equal to a solve.
+    fn assert_bit_equal(model: &ContentionModel, rates: &[f64]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut cached = Vec::new();
+        model.cached_speeds_into(rates, &mut cached);
+        assert_eq!(
+            bits(&cached),
+            bits(&model.speeds(rates)),
+            "speeds of {rates:?}"
+        );
+        let delay = model.queueing_delay(rates, &mut Vec::new());
+        assert_eq!(
+            model.cached_queueing_delay(rates).to_bits(),
+            delay.to_bits(),
+            "queueing delay of {rates:?}"
+        );
+    }
+
+    #[test]
+    fn a_repeated_vector_is_solved_once() {
+        on_fresh_thread(|| {
+            let m = ContentionModel::new();
+            let rates = [0.02, 0.0, 0.05];
+            assert_bit_equal(&m, &rates);
+            assert_eq!(solves(), 1, "speeds and delay share one solve");
+            for _ in 0..10 {
+                assert_bit_equal(&m, &rates);
+            }
+            assert_eq!(solves(), 1, "every repeat is a hit");
+            assert_bit_equal(&m, &[0.02, 0.0]);
+            assert_eq!(solves(), 2, "a shorter vector is a new key");
+        });
+    }
+
+    #[test]
+    fn negative_zero_rates_share_an_entry() {
+        // An idle processor contributes rate 0.0, and sign propagation in
+        // float arithmetic can legally hand the same processor -0.0. The
+        // two compare equal and solve to identical speeds and delays, so
+        // they must map to one entry.
+        assert_ne!(
+            (-0.0f64).to_bits(),
+            0.0f64.to_bits(),
+            "raw bit patterns differ — the canonicalization is load-bearing"
+        );
+        on_fresh_thread(|| {
+            let m = ContentionModel::new();
+            assert_bit_equal(&m, &[0.4, 0.0]);
+            assert_bit_equal(&m, &[0.4, -0.0]);
+            assert_eq!(solves(), 1, "one entry serves both");
+        });
+    }
+
+    #[test]
+    fn models_with_different_service_times_never_share_an_entry() {
+        on_fresh_thread(|| {
+            let rates = [0.05; 3];
+            let (fast, slow) = (
+                ContentionModel::with_service(4.0),
+                ContentionModel::with_service(24.0),
+            );
+            assert_bit_equal(&fast, &rates);
+            assert_bit_equal(&slow, &rates);
+            assert_eq!(solves(), 2, "each service time solves its own point");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            fast.cached_speeds_into(&rates, &mut a);
+            slow.cached_speeds_into(&rates, &mut b);
+            assert!(a[0] > b[0], "{a:?} vs {b:?}");
+            assert_eq!(solves(), 2);
+        });
+    }
+
+    #[test]
+    fn clearing_at_the_cap_keeps_every_answer_bit_equal() {
+        on_fresh_thread(|| {
+            let m = ContentionModel::new();
+            let vector = |i: usize| [0.01 + i as f64 * 1e-6, 0.03, 0.0];
+            let past_cap = TABLE_CAP + 100;
+            for i in 0..past_cap {
+                assert_bit_equal(&m, &vector(i));
+            }
+            assert_eq!(solves(), past_cap as u64);
+            let held = OPERATING_POINTS
+                .with_borrow(|memo| (memo.index.len(), memo.points.len(), memo.speeds.len()));
+            assert_eq!(held, (100, 100, 300), "the table started over at the cap");
+            // The first vectors went with the clear: they are solved again,
+            // to the same bits; the latest ones are still hits.
+            assert_bit_equal(&m, &vector(0));
+            assert_eq!(solves(), past_cap as u64 + 1);
+            assert_bit_equal(&m, &vector(past_cap - 1));
+            assert_eq!(solves(), past_cap as u64 + 1);
+        });
     }
 }

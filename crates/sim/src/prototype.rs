@@ -24,9 +24,7 @@
 //! bus/memory contention — is explicit here and individually tunable for
 //! the ablation benches.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use mpdp_core::error::TaskSetError;
 use mpdp_core::ids::{JobId, PeripheralId, ProcId, TaskId};
@@ -125,7 +123,8 @@ impl PrototypeConfig {
         self
     }
 
-    /// Sets the tick.
+    /// Sets the tick. Validated when the simulator runs: a zero tick makes
+    /// [`PrototypeSim::run`] return [`TaskSetError::InvalidParameter`].
     pub fn with_tick(mut self, tick: Cycles) -> Self {
         self.tick = tick;
         self
@@ -214,6 +213,9 @@ struct JobProgress {
     reported: u64,
     /// Execution demand at release (fractional under WCET-overrun faults).
     demand: f64,
+    /// Bus-access rate of the job's memory profile, read by every speed
+    /// solve and burst pricing while it runs.
+    bus_rate: f64,
 }
 
 impl JobProgress {
@@ -221,6 +223,7 @@ impl JobProgress {
         done: 0.0,
         reported: 0,
         demand: f64::NAN,
+        bus_rate: f64::NAN,
     };
 }
 
@@ -235,83 +238,6 @@ impl JobProgress {
 /// sweep (`remaining > 0.5`) the clamp never alters the event time.
 fn running_eta(remaining: f64, speed: f64) -> u64 {
     (remaining / speed).ceil().max(1.0) as u64
-}
-
-/// Rebuilds `key` as the memo key for a bus-rate vector: the rates' bit
-/// patterns, with -0.0 canonicalized to +0.0 (`r + 0.0` — IEEE 754
-/// addition returns +0.0 for -0.0 + 0.0). The contention fixed point and
-/// the queueing delay are pure functions of the rate *values*, and -0.0
-/// and +0.0 compare equal, so the two encodings must share one memo
-/// entry; keying on raw `to_bits` split them into duplicates.
-fn rate_memo_key(rates: &[f64], key: &mut Vec<u64>) {
-    key.clear();
-    key.extend(rates.iter().map(|r| (r + 0.0).to_bits()));
-}
-
-/// Word-wise multiply-rotate hasher for the rate memos. Their keys are
-/// rate vectors the simulator computes itself, never outside input, so
-/// SipHash's resistance to crafted collisions buys nothing there, while its
-/// cost is paid on most event-loop iterations (the rate vector changes on
-/// most of them).
-#[derive(Debug, Clone, Copy, Default)]
-struct RateKeyHasher(u64);
-
-impl Hasher for RateKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.write_u64(u64::from(byte));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Memo of a pure function of the bus-rate vector, keyed by its
-/// [`rate_memo_key`] bits. Keys and values sit back to back in two flat
-/// arrays, found through a map from each key's 64-bit fingerprint, so a new
-/// entry costs only amortized growth, never an allocation of its own.
-/// Should two distinct keys share a fingerprint, the later one is simply
-/// never memoized: the value is a pure function of the key, so solving it
-/// again is bit-equal to a hit.
-#[derive(Debug, Default)]
-struct RateMemo {
-    index: HashMap<u64, usize, BuildHasherDefault<RateKeyHasher>>,
-    keys: Vec<u64>,
-    values: Vec<f64>,
-}
-
-impl RateMemo {
-    /// The `width` values memoized for `key`, if any.
-    fn get(&self, key: &[u64], width: usize) -> Option<&[f64]> {
-        let &entry = self.index.get(&fingerprint(key))?;
-        let stored = &self.keys[entry * key.len()..(entry + 1) * key.len()];
-        (stored == key).then(|| &self.values[entry * width..(entry + 1) * width])
-    }
-
-    /// Memoizes `values` for `key` unless its fingerprint is taken.
-    fn insert(&mut self, key: &[u64], values: &[f64]) {
-        let entry = self.index.len();
-        if let Entry::Vacant(slot) = self.index.entry(fingerprint(key)) {
-            slot.insert(entry);
-            self.keys.extend_from_slice(key);
-            self.values.extend_from_slice(values);
-        }
-    }
-}
-
-/// The 64-bit fingerprint [`RateMemo`] indexes a key by.
-fn fingerprint(key: &[u64]) -> u64 {
-    let mut hasher = RateKeyHasher::default();
-    for &word in key {
-        hasher.write_u64(word);
-    }
-    hasher.finish()
 }
 
 /// The prototype simulator.
@@ -339,24 +265,6 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     /// Scratch for assembling per-processor rates without reallocating
     /// (shared by the speed solve and burst pricing, which never nest).
     rates_scratch: Vec<f64>,
-    /// Memo of solved contention fixed points, keyed by the exact bit
-    /// pattern of the rate vector. Per-processor rates come from a tiny
-    /// alphabet (idle, kernel burst, ISR burst, one value per task memory
-    /// profile), so a run revisits the same handful of vectors thousands
-    /// of times; the damped solve (up to `MAX_ITERS` rounds) runs once per
-    /// distinct vector instead. The solve is a pure function of the rates,
-    /// so memoized speeds are bit-equal to re-solved ones.
-    speeds_memo: RateMemo,
-    /// Scratch for a memo key (rate bits) without reallocating.
-    key_scratch: Vec<u64>,
-    /// Memo for [`Self::cost_duration`]'s queueing-delay term, keyed like
-    /// `speeds_memo`: the delay is a pure function of the running-task
-    /// rate vector, and those vectors repeat from the same small alphabet,
-    /// so the M/D/1 fixed point behind each priced burst is usually a
-    /// cache hit.
-    qd_memo: RateMemo,
-    /// Scratch for the speeds behind a queueing-delay solve.
-    qd_speeds: Vec<f64>,
     /// Scratch for the kernel's scheduling passes.
     pass: SchedulingPass,
     /// Scratch for the desired assignment the event handlers compare
@@ -429,7 +337,9 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         kernel.set_isr_drop_every(config.isr_drop_every);
         PrototypeSim {
             intc: MpInterruptController::new(n_procs, n_periph, config.intc_ack_timeout),
-            timer: SystemTimer::new(config.tick),
+            // `run` rejects a zero tick before the timer fires; the clamp
+            // only keeps construction from panicking on one.
+            timer: SystemTimer::new(config.tick.max(Cycles::new(1))),
             contention: ContentionModel::new(),
             activity: vec![Activity::Idle; n_procs],
             remaining: Vec::new(),
@@ -437,10 +347,6 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             speeds: vec![1.0; n_procs],
             solved_rates: Vec::new(),
             rates_scratch: Vec::new(),
-            speeds_memo: RateMemo::default(),
-            key_scratch: Vec::new(),
-            qd_memo: RateMemo::default(),
-            qd_speeds: Vec::new(),
             pass: SchedulingPass::default(),
             desired: Vec::new(),
             now: Cycles::ZERO,
@@ -490,8 +396,9 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
     /// # Errors
     ///
     /// [`TaskSetError::UnsortedArrivals`] if arrivals are unsorted;
-    /// [`TaskSetError::InvalidParameter`] if a configured bus rate is
-    /// negative or non-finite.
+    /// [`TaskSetError::InvalidParameter`] if the tick is zero, a configured
+    /// bus rate is negative or non-finite, or a task's
+    /// [`MemoryProfile`](mpdp_core::task::MemoryProfile) is invalid.
     pub fn run(self, arrivals: &[(Cycles, usize)]) -> Result<PrototypeOutcome, TaskSetError> {
         self.run_probed(arrivals).map(|(outcome, _)| outcome)
     }
@@ -513,6 +420,15 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }
         if !self.config.isr_bus_rate.is_finite() || self.config.isr_bus_rate < 0.0 {
             return Err(TaskSetError::InvalidParameter("isr_bus_rate"));
+        }
+        if self.config.tick.is_zero() {
+            return Err(TaskSetError::InvalidParameter("tick"));
+        }
+        let table = self.kernel.policy().table();
+        let periodic = table.periodic().iter().map(|t| t.profile());
+        let aperiodic = table.aperiodic().iter().map(|t| t.profile());
+        if !periodic.chain(aperiodic).all(|p| p.is_valid()) {
+            return Err(TaskSetError::InvalidParameter("memory profile"));
         }
         let mut arrival_idx = 0usize;
         if let Some(pin) = self.config.pin_interrupts_to {
@@ -874,25 +790,11 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }
     }
 
-    fn profile_of(&self, job: JobId) -> mpdp_core::task::MemoryProfile {
-        match self.kernel.policy().job(job).class {
-            JobClass::Periodic { task_index } => {
-                *self.kernel.policy().table().periodic()[task_index].profile()
-            }
-            JobClass::Aperiodic { task_index } => {
-                *self.kernel.policy().table().aperiodic()[task_index].profile()
-            }
-        }
-    }
-
     fn recompute_speeds(&mut self) {
         let mut rates = std::mem::take(&mut self.rates_scratch);
         rates.clear();
         rates.extend((0..self.n_procs()).map(|p| match &self.activity[p] {
-            Activity::Running(job) => {
-                let profile = self.profile_of(*job);
-                self.contention.rate_for_profile(&profile)
-            }
+            Activity::Running(job) => self.progress[job.index()].bus_rate,
             Activity::Busy { work, .. } => match work {
                 BusyWork::Switch { .. } => self.config.kernel_bus_rate,
                 _ => self.config.isr_bus_rate,
@@ -904,26 +806,17 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         // activity — and hence its bus-access rate — untouched, and the
         // vectors that do occur repeat from a small alphabet. The fixed
         // point is a pure function of the rates, so: an unchanged vector
-        // skips everything, a previously seen vector replays its memoized
-        // speeds, and only a genuinely new vector pays for the damped
-        // up-to-MAX_ITERS solve. Fault plans inject a *time-varying* bus
-        // factor on top, so any run with faults always re-solves.
+        // skips everything, and any other is answered from the thread's
+        // operating-point table, which pays for the damped up-to-MAX_ITERS
+        // solve once per distinct vector. Fault plans inject a
+        // *time-varying* bus factor on top, so any run with faults always
+        // re-solves.
         if self.faults.is_empty() {
             if rates == self.solved_rates {
                 self.rates_scratch = rates;
                 return;
             }
-            rate_memo_key(&rates, &mut self.key_scratch);
-            match self.speeds_memo.get(&self.key_scratch, rates.len()) {
-                Some(solved) => {
-                    self.speeds.clear();
-                    self.speeds.extend_from_slice(solved);
-                }
-                None => {
-                    self.contention.speeds_into(&rates, &mut self.speeds);
-                    self.speeds_memo.insert(&self.key_scratch, &self.speeds);
-                }
-            }
+            self.contention.cached_speeds_into(&rates, &mut self.speeds);
             std::mem::swap(&mut self.solved_rates, &mut rates);
             self.rates_scratch = rates;
             return;
@@ -955,25 +848,10 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         let mut running_rates = std::mem::take(&mut self.rates_scratch);
         running_rates.clear();
         running_rates.extend((0..self.n_procs()).map(|p| match &self.activity[p] {
-            Activity::Running(job) => {
-                let profile = self.profile_of(*job);
-                self.contention.rate_for_profile(&profile)
-            }
+            Activity::Running(job) => self.progress[job.index()].bus_rate,
             _ => 0.0,
         }));
-        // The delay is a pure function of the running-task rates; solve
-        // once per distinct running set.
-        rate_memo_key(&running_rates, &mut self.key_scratch);
-        let task_wait = match self.qd_memo.get(&self.key_scratch, 1) {
-            Some(&[value]) => value,
-            _ => {
-                let value = self
-                    .contention
-                    .queueing_delay(&running_rates, &mut self.qd_speeds);
-                self.qd_memo.insert(&self.key_scratch, &[value]);
-                value
-            }
-        };
+        let task_wait = self.contention.cached_queueing_delay(&running_rates);
         self.rates_scratch = running_rates;
         let task_wait = task_wait.min(3.0 * service);
         let per_word = service * (1.0 + other_bursts) + task_wait;
@@ -1469,16 +1347,22 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             self.progress.resize(idx + 1, JobProgress::UNTRACKED);
         }
         if self.remaining[idx].is_nan() {
-            let (nominal, coord) = match self.kernel.policy().job(job).class {
-                JobClass::Periodic { task_index } => (
-                    self.kernel.policy().table().periodic()[task_index].wcet(),
-                    task_index,
-                ),
-                JobClass::Aperiodic { task_index } => (
-                    self.kernel.policy().table().aperiodic()[task_index].exec(),
-                    self.kernel.policy().table().periodic().len() + task_index,
-                ),
+            let table = self.kernel.policy().table();
+            let (nominal, coord, profile) = match self.kernel.policy().job(job).class {
+                JobClass::Periodic { task_index } => {
+                    let task = &table.periodic()[task_index];
+                    (task.wcet(), task_index, task.profile())
+                }
+                JobClass::Aperiodic { task_index } => {
+                    let task = &table.aperiodic()[task_index];
+                    (
+                        task.exec(),
+                        table.periodic().len() + task_index,
+                        task.profile(),
+                    )
+                }
             };
+            let bus_rate = self.contention.rate_for_profile(profile);
             let nominal = nominal.as_u64() as f64;
             let mut demand = nominal;
             if !self.faults.is_empty() {
@@ -1490,6 +1374,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 done: 0.0,
                 reported: 0,
                 demand,
+                bus_rate,
             };
             if self.track {
                 if self.ledger.len() <= idx {
@@ -1669,31 +1554,6 @@ mod tests {
 
     fn cfg(horizon_ticks: u64) -> PrototypeConfig {
         PrototypeConfig::new(TICK * horizon_ticks).with_tick(TICK)
-    }
-
-    #[test]
-    fn memo_keys_do_not_split_negative_zero_rates() {
-        // An idle processor contributes rate 0.0, and sign propagation in
-        // float arithmetic can legally hand the same processor -0.0. The
-        // two compare equal and solve to identical speeds/delays, so they
-        // must map to one memo entry; the old raw `to_bits` key split
-        // them into duplicates (and doubled the solve work).
-        assert_ne!(
-            (-0.0f64).to_bits(),
-            0.0f64.to_bits(),
-            "raw bit patterns differ — the canonicalization is load-bearing"
-        );
-        let (mut pos, mut neg) = (Vec::new(), Vec::new());
-        rate_memo_key(&[0.4, 0.0], &mut pos);
-        rate_memo_key(&[0.4, -0.0], &mut neg);
-        assert_eq!(pos, neg, "negative zero must key like positive zero");
-        let mut memo = RateMemo::default();
-        memo.insert(&pos, &[1.25]);
-        assert_eq!(
-            memo.get(&neg, 1),
-            Some(&[1.25][..]),
-            "one entry serves both"
-        );
     }
 
     #[test]

@@ -52,7 +52,8 @@ impl TheoreticalConfig {
         }
     }
 
-    /// Sets the tick.
+    /// Sets the tick. Validated when the simulator runs: a zero tick makes
+    /// [`run_theoretical`] return [`TaskSetError::InvalidParameter`].
     pub fn with_tick(mut self, tick: Cycles) -> Self {
         self.tick = tick;
         self
@@ -99,8 +100,8 @@ pub struct SimOutcome {
 /// # Errors
 ///
 /// [`TaskSetError::UnsortedArrivals`] if arrivals are unsorted;
-/// [`TaskSetError::InvalidParameter`] if the configured overhead is negative
-/// or non-finite.
+/// [`TaskSetError::InvalidParameter`] if the tick is zero or the configured
+/// overhead is negative or non-finite.
 pub fn run_theoretical<S: Scheduler>(
     policy: S,
     arrivals: &[(Cycles, usize)],
@@ -173,6 +174,9 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
     }
     if !config.overhead.is_finite() || config.overhead < 0.0 {
         return Err(TaskSetError::InvalidParameter("overhead"));
+    }
+    if config.tick.is_zero() {
+        return Err(TaskSetError::InvalidParameter("tick"));
     }
     let scale = 1.0 + config.overhead;
     let n_aperiodic = policy.table().aperiodic().len();

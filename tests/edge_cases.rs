@@ -1,12 +1,17 @@
 //! Degenerate-configuration robustness: the stacks must behave sensibly at
 //! the edges of the configuration space (no tasks, no aperiodics, one
-//! processor, many processors with few tasks).
+//! processor, many processors with few tasks), and reject what they cannot
+//! run with a typed error instead of hanging or panicking.
 
+use std::sync::mpsc;
+use std::time::Duration;
+
+use mpdp::core::error::TaskSetError;
 use mpdp::core::ids::TaskId;
 use mpdp::core::policy::MpdpPolicy;
 use mpdp::core::priority::Priority;
 use mpdp::core::rta::build_task_table;
-use mpdp::core::task::{AperiodicTask, PeriodicTask};
+use mpdp::core::task::{AperiodicTask, MemoryProfile, PeriodicTask};
 use mpdp::core::time::{hyperperiod, Cycles, DEFAULT_TICK};
 use mpdp::sim::prototype::{run_prototype, PrototypeConfig};
 use mpdp::sim::theoretical::{run_theoretical, TheoreticalConfig};
@@ -144,4 +149,75 @@ fn back_to_back_arrivals_all_serialize() {
         assert!(w[0].release <= w[1].release);
     }
     assert_eq!(out.trace.deadline_misses(), 0);
+}
+
+#[test]
+fn a_zero_tick_is_a_typed_error_on_both_stacks() {
+    let table = build_task_table(one_periodic(), vec![], 1).expect("valid");
+    // A zero tick used to pin the theoretical loop at t = 0 forever: run
+    // it on its own thread so a regression fails here instead of hanging
+    // the suite.
+    let (tx, rx) = mpsc::channel();
+    let theoretical_table = table.clone();
+    std::thread::spawn(move || {
+        let out = run_theoretical(
+            MpdpPolicy::new(theoretical_table),
+            &[],
+            TheoreticalConfig::new(DEFAULT_TICK * 10).with_tick(Cycles::ZERO),
+        );
+        let _ = tx.send(out.err());
+    });
+    let theoretical = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the theoretical stack returns on a zero tick");
+    assert_eq!(theoretical, Some(TaskSetError::InvalidParameter("tick")));
+    let prototype = run_prototype(
+        MpdpPolicy::new(table),
+        &[],
+        PrototypeConfig::new(DEFAULT_TICK * 10).with_tick(Cycles::ZERO),
+    );
+    assert_eq!(
+        prototype.err(),
+        Some(TaskSetError::InvalidParameter("tick"))
+    );
+}
+
+#[test]
+fn an_invalid_memory_profile_is_a_typed_error() {
+    let nan_hit_rate = MemoryProfile {
+        icache_hit_rate: f64::NAN,
+        ..MemoryProfile::default()
+    };
+    let fraction_above_one = MemoryProfile {
+        icache_hit_rate: 1.5,
+        ..MemoryProfile::default()
+    };
+    let negative_rate = MemoryProfile {
+        data_access_per_cycle: -0.1,
+        ..MemoryProfile::default()
+    };
+    let aperiodic = || AperiodicTask::new(TaskId::new(1), "ap", DEFAULT_TICK);
+    for bad in [nan_hit_rate, fraction_above_one, negative_rate] {
+        assert!(!bad.is_valid(), "{bad:?}");
+        let periodic = one_periodic()
+            .into_iter()
+            .map(|t| t.with_profile(bad))
+            .collect();
+        for table in [
+            build_task_table(periodic, vec![aperiodic()], 2).expect("valid"),
+            build_task_table(one_periodic(), vec![aperiodic().with_profile(bad)], 2)
+                .expect("valid"),
+        ] {
+            let out = run_prototype(
+                MpdpPolicy::new(table),
+                &[(DEFAULT_TICK * 2, 0)],
+                PrototypeConfig::new(DEFAULT_TICK * 10),
+            );
+            assert_eq!(
+                out.err(),
+                Some(TaskSetError::InvalidParameter("memory profile")),
+                "{bad:?}"
+            );
+        }
+    }
 }
