@@ -6,9 +6,7 @@
 
 use mpdp_core::ids::proc_ids;
 use mpdp_core::time::{Cycles, CLOCK_HZ, DEFAULT_TICK};
-use mpdp_hw::crossbar::Crossbar;
 use mpdp_hw::mem::{MemoryMap, Region, BOOT_WORDS, LOCAL_WORDS};
-use mpdp_hw::sync::SyncEngine;
 use mpdp_hw::DDR_SERVICE_CYCLES;
 use mpdp_intc::MpInterruptController;
 
@@ -25,8 +23,6 @@ fn main() {
     let n_tasks = 19; // the paper's experiment: 18 periodic + 1 aperiodic
     let mem = MemoryMap::new(n_procs, n_tasks);
     let intc = MpInterruptController::new(n_procs, 4, Cycles::new(50_000));
-    let xbar = Crossbar::new(n_procs, 4);
-    let sync = SyncEngine::new(n_procs, 2, 2);
 
     println!("== Figure 1: system architecture (modeled) ==");
     println!(
@@ -69,13 +65,7 @@ fn main() {
     );
     println!();
     println!(
-        "  synchronization engine: 2 locks, 2 barriers ({} cy per access, {} contended acquires so far)",
-        mpdp_hw::sync::SYNC_ACCESS_CYCLES,
-        sync.contended_acquires()
-    );
-    println!(
-        "  crossbar: {n_procs}x{n_procs} FIFO channels, depth 4, {} cy per word ({} sent)",
-        mpdp_hw::crossbar::XBAR_ACCESS_CYCLES,
-        xbar.total_sent()
+        "  synchronization engine, crossbar: not modeled (ISRs serialize on the kernel's \
+         scheduler lock, reported as lock contentions; kernel signals are IPIs)"
     );
 }

@@ -17,9 +17,10 @@
 //!   after the promoted periodic tasks and the remainder of A1.
 //!
 //! Run with `cargo run -p mpdp-bench --bin fig3_schedule --
-//! [--trace-out t.json]`. `--trace-out` writes both schedules as a Chrome
-//! trace-event JSON (open in <https://ui.perfetto.dev>), captured by a
-//! probed re-run so stdout stays byte-identical to an unprobed run.
+//! [--trace-out t.json]`. Each schedule runs once under an
+//! `EventRecorder`; its spans draw the Gantt chart, and `--trace-out`
+//! writes the same recorders as a Chrome trace-event JSON (open in
+//! <https://ui.perfetto.dev>), so stdout is the same with or without it.
 
 use std::collections::BTreeMap;
 
@@ -33,7 +34,7 @@ use mpdp_core::time::Cycles;
 use mpdp_faults::CompiledFaults;
 use mpdp_obs::{chrome_trace_json_multi, EventRecorder};
 use mpdp_sim::gantt::render_gantt;
-use mpdp_sim::theoretical::{run_theoretical, run_theoretical_probed, TheoreticalConfig};
+use mpdp_sim::theoretical::{run_theoretical_probed, SimOutcome, TheoreticalConfig};
 
 /// One timeslice of the figure (arbitrary: the schedule is in slice units).
 const SLICE: Cycles = Cycles::new(100_000);
@@ -53,6 +54,25 @@ fn task_table() -> TaskTable {
     let a1 = AperiodicTask::new(TaskId::new(3), "A1", SLICE * 2);
     let a2 = AperiodicTask::new(TaskId::new(4), "A2", SLICE);
     build_task_table(vec![p1, p2, p3], vec![a1, a2], 2).expect("figure task set is schedulable")
+}
+
+/// Runs one schedule of the figure to `horizon` under a recorder.
+fn run(
+    table: &TaskTable,
+    arrivals: &[(Cycles, usize)],
+    horizon: Cycles,
+) -> (SimOutcome, EventRecorder) {
+    let config = TheoreticalConfig::new(horizon)
+        .with_tick(SLICE)
+        .with_overhead(0.0);
+    run_theoretical_probed(
+        MpdpPolicy::new(table.clone()),
+        arrivals,
+        config,
+        &CompiledFaults::none(),
+        EventRecorder::new(table.n_procs()),
+    )
+    .unwrap()
 }
 
 fn main() {
@@ -96,22 +116,17 @@ fn main() {
         (TaskId::new(4), 'b'),
     ]);
     let horizon = SLICE * 6;
-    let config = TheoreticalConfig::new(horizon)
-        .with_tick(SLICE)
-        .with_overhead(0.0)
-        .with_segments();
 
     // Schedule A: no aperiodic arrivals.
-    let a = run_theoretical(MpdpPolicy::new(table.clone()), &[], config).unwrap();
+    let (a, rec_a) = run(&table, &[], horizon);
     println!("== Schedule A (periodic only; note the idle slots '·') ==");
-    print!("{}", render_gantt(&a.trace, 2, horizon, SLICE, &labels));
+    print!("{}", render_gantt(&rec_a, horizon, SLICE, &labels));
     println!();
 
     // Schedule B: A1 arrives at the start of timeslice 1, A2 at timeslice 2.
-    let arrivals = vec![(SLICE, 0usize), (SLICE * 2, 1usize)];
-    let b = run_theoretical(MpdpPolicy::new(table.clone()), &arrivals, config).unwrap();
+    let (b, rec_b) = run(&table, &[(SLICE, 0), (SLICE * 2, 1)], horizon);
     println!("== Schedule B (A1 arrives at slice 1, A2 at slice 2) ==");
-    print!("{}", render_gantt(&b.trace, 2, horizon, SLICE, &labels));
+    print!("{}", render_gantt(&rec_b, horizon, SLICE, &labels));
     println!();
 
     println!("narrative checks:");
@@ -143,25 +158,6 @@ fn main() {
     );
 
     if let Some(path) = trace_out {
-        // Probed re-runs of both schedules; the figure's stdout above came
-        // from the unprobed runs and is untouched.
-        let none = CompiledFaults::none();
-        let (_, rec_a) = run_theoretical_probed(
-            MpdpPolicy::new(table.clone()),
-            &[],
-            config,
-            &none,
-            EventRecorder::new(2),
-        )
-        .unwrap();
-        let (_, rec_b) = run_theoretical_probed(
-            MpdpPolicy::new(table),
-            &arrivals,
-            config,
-            &none,
-            EventRecorder::new(2),
-        )
-        .unwrap();
         let doc = chrome_trace_json_multi(&[(&rec_a, "schedule-A"), (&rec_b, "schedule-B")]);
         write_json_output(&path, "trace JSON", &doc);
         eprintln!("open {path} in https://ui.perfetto.dev");

@@ -4,7 +4,7 @@
 //! corners of it. An [`ExploreModel`] is a 2–3-task system whose
 //! nondeterminism — which aperiodic arrivals fire, their ISR delivery
 //! delays, and same-cycle tie order — spans a finite, fully-enumerable
-//! space. [`explore`] walks every distinct resolved schedule once
+//! space. [`explore()`] walks every distinct resolved schedule once
 //! (canonical-key dedup, path budget, seeded visit order), runs each
 //! through **both** simulator stacks, replays the probe streams through
 //! the invariant monitors, and cross-checks the stacks with the

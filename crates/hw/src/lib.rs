@@ -5,12 +5,16 @@
 //! cycle-accurate arbiter and a scalable [analytic contention
 //! model](contention), the [memory hierarchy](mem) (local BRAMs, shared DDR
 //! with the context vector, boot BRAM), the per-processor [instruction
-//! cache](cache), the inter-processor [crossbar](mod@crossbar), the lock/barrier
-//! [synchronization engine](sync), and the [system timer](timer).
+//! cache](cache), the processors' [register files](processor), and the
+//! [system timer](timer).
 //!
 //! See `DESIGN.md` at the workspace root for the substitution rationale:
 //! each model reproduces the *observable timing behaviour* the paper
-//! measures, not the RTL.
+//! measures, not the RTL. The prototype's synchronization engine and
+//! crossbar are not modeled: no measurement here depends on them. The
+//! prototype simulator serializes ISRs on its own scheduler lock and
+//! signals processors with inter-processor interrupts through
+//! `mpdp-intc`.
 //!
 //! ```
 //! use mpdp_hw::bus::{Arbiter, ArbitrationPolicy};
@@ -33,17 +37,13 @@
 pub mod bus;
 pub mod cache;
 pub mod contention;
-pub mod crossbar;
 pub mod mem;
 pub mod processor;
-pub mod sync;
 pub mod timer;
 
 pub use bus::{Arbiter, ArbitrationPolicy, BusStats, Completion, MasterStats, DDR_SERVICE_CYCLES};
 pub use cache::{CacheStats, DirectMappedCache};
 pub use contention::ContentionModel;
-pub use crossbar::{ChannelFullError, Crossbar};
 pub use mem::{Memory, MemoryMap, Region, LOCAL_LATENCY, REGFILE_WORDS, SHARED_LATENCY};
 pub use processor::{Processor, RegisterFile};
-pub use sync::SyncEngine;
 pub use timer::SystemTimer;

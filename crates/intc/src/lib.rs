@@ -21,8 +21,10 @@
 //!
 //! Register accesses are serialized by mutual exclusion on the real device
 //! ("controller management is sequential, but the execution of the interrupt
-//! handlers is parallel"); the kernel models that cost via the
-//! [`mpdp_hw::sync::SyncEngine`] plus [`REGISTER_ACCESS_CYCLES`].
+//! handlers is parallel"). The prototype simulator (`mpdp-sim`) models
+//! that as its scheduler lock: an ISR on another processor waits behind it,
+//! and the wait is reported as lock contention. Register traffic is priced
+//! as kernel bus words (`mpdp-kernel`'s `KernelCosts`).
 //!
 //! ## Examples
 //!

@@ -14,8 +14,9 @@
 //!    empty `#[inline]` bodies, so a simulator instantiated with it
 //!    monomorphises to exactly the uninstrumented code: enabling the
 //!    feature costs nothing when it is off, and a golden test in the root
-//!    crate pins all Figure 3/4 exports byte-identical with the probe
-//!    disabled.
+//!    crate pins the Figure 4 exports byte-identical with the probe
+//!    disabled. A recording probe is the simulators' only record of
+//!    processor activity: its spans draw the Figure 3 Gantt chart.
 //! 2. **Cycle ledger** ([`CycleLedger`]): a per-processor account that
 //!    attributes *every* simulated cycle to exactly one [`Bucket`] — task
 //!    work, scheduler pass, context save/restore, ISR, bus/memory stall,

@@ -1,8 +1,10 @@
-//! Trace export: CSV serialization of completions and segments, so figure
-//! data can be re-plotted outside this repository.
+//! Trace export: CSV serialization of completions, so figure data can be
+//! re-plotted outside this repository.
 //!
-//! No external serialization crate is needed — the formats are two flat
-//! tables with numeric and simple string columns.
+//! No external serialization crate is needed — the format is one flat
+//! table with numeric and simple string columns. Processor activity is
+//! exported from the run's probe instead: `mpdp_obs::chrome_trace_json`
+//! writes its spans, `mpdp_obs::ledger_csv` its cycle ledger.
 //!
 //! # Examples
 //!
@@ -18,7 +20,7 @@ use std::fmt::Write as _;
 
 use mpdp_core::policy::JobClass;
 
-use crate::trace::{SegmentKind, Trace};
+use crate::trace::Trace;
 
 /// Serializes the completion records as CSV with a header row.
 ///
@@ -51,35 +53,9 @@ pub fn completions_csv(trace: &Trace) -> String {
     out
 }
 
-/// Serializes the activity segments as CSV with a header row.
-///
-/// Columns: `proc,kind,job,task,start_s,end_s`.
-pub fn segments_csv(trace: &Trace) -> String {
-    let mut out = String::from("proc,kind,job,task,start_s,end_s\n");
-    for s in &trace.segments {
-        let kind = match s.kind {
-            SegmentKind::Task => "task",
-            SegmentKind::Kernel => "kernel",
-            SegmentKind::Switch => "switch",
-        };
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{:.6},{:.6}",
-            s.proc.as_u32(),
-            kind,
-            s.job.map(|j| j.as_u32().to_string()).unwrap_or_default(),
-            s.task.map(|t| t.as_u32().to_string()).unwrap_or_default(),
-            s.start.as_secs_f64(),
-            s.end.as_secs_f64()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Segment;
     use mpdp_core::ids::{JobId, ProcId, TaskId};
     use mpdp_core::policy::Job;
     use mpdp_core::time::Cycles;
@@ -112,22 +88,6 @@ mod tests {
             TaskId::new(9),
             Cycles::from_millis(500),
         );
-        trace.segments.push(Segment {
-            proc: ProcId::new(0),
-            job: Some(JobId::new(3)),
-            task: Some(TaskId::new(7)),
-            start: Cycles::from_millis(100),
-            end: Cycles::from_millis(250),
-            kind: SegmentKind::Task,
-        });
-        trace.segments.push(Segment {
-            proc: ProcId::new(0),
-            job: None,
-            task: None,
-            start: Cycles::from_millis(250),
-            end: Cycles::from_millis(251),
-            kind: SegmentKind::Kernel,
-        });
         trace
     }
 
@@ -143,18 +103,8 @@ mod tests {
     }
 
     #[test]
-    fn segments_csv_encodes_kinds_and_blanks() {
-        let csv = segments_csv(&sample_trace());
-        let lines: Vec<&str> = csv.trim_end().lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("0,task,3,7,"));
-        assert!(lines[2].starts_with("0,kernel,,,"));
-    }
-
-    #[test]
     fn empty_trace_yields_headers_only() {
         let trace = Trace::new();
         assert_eq!(completions_csv(&trace).lines().count(), 1);
-        assert_eq!(segments_csv(&trace).lines().count(), 1);
     }
 }

@@ -1,50 +1,52 @@
-//! ASCII Gantt rendering of execution traces — used to regenerate the
-//! paper's Figure 3 sample schedule.
+//! ASCII Gantt rendering of a probed run's activity spans — used to
+//! regenerate the paper's Figure 3 sample schedule.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use mpdp_core::ids::TaskId;
 use mpdp_core::time::Cycles;
+use mpdp_obs::{EventRecorder, SpanKind};
 
-use crate::trace::{SegmentKind, Trace};
-
-/// Renders the task segments of `trace` as one row per processor, one
-/// column per `slot` of time, covering `[0, horizon)`.
+/// Renders the spans `rec` recorded as one row per processor it tracks,
+/// one column per `slot` of time, covering `[0, horizon)`.
 ///
 /// Each column shows the label of the task that occupied the *majority* of
-/// that slot on that processor (`·` for idle, `#` for kernel/switch
-/// activity). `labels` maps task ids to single-character labels; unmapped
-/// tasks render as `?`.
+/// that slot on that processor (`·` for idle, `#` for scheduler, ISR and
+/// context-switch activity). `labels` maps task ids to single-character
+/// labels; unmapped tasks render as `?`.
 ///
 /// # Panics
 ///
 /// Panics if `slot` is zero.
 pub fn render_gantt(
-    trace: &Trace,
-    n_procs: usize,
+    rec: &EventRecorder,
     horizon: Cycles,
     slot: Cycles,
     labels: &BTreeMap<TaskId, char>,
 ) -> String {
     assert!(!slot.is_zero(), "slot must be non-zero");
     let n_slots = horizon.as_u64().div_ceil(slot.as_u64()) as usize;
-    let mut grid = vec![vec![('·', 0u64); n_slots]; n_procs];
+    let mut grid = vec![vec![('·', 0u64); n_slots]; rec.n_procs()];
 
-    for seg in &trace.segments {
-        let label = match seg.kind {
-            SegmentKind::Task => seg.task.map_or('?', |t| *labels.get(&t).unwrap_or(&'?')),
-            SegmentKind::Kernel | SegmentKind::Switch => '#',
+    for span in rec.spans() {
+        // A span on a processor the recorder does not track has no row.
+        let Some(row) = grid.get_mut(span.proc as usize) else {
+            continue;
         };
-        let first = (seg.start.as_u64() / slot.as_u64()) as usize;
-        let last = (seg.end.as_u64().saturating_sub(1) / slot.as_u64()) as usize;
-        #[allow(clippy::needless_range_loop)] // indexes both the slot grid and derived bounds
-        for s in first..=last.min(n_slots.saturating_sub(1)) {
+        let label = match span.kind {
+            SpanKind::Task => span
+                .task
+                .map_or('?', |t| *labels.get(&TaskId::new(t)).unwrap_or(&'?')),
+            SpanKind::Sched | SpanKind::Isr | SpanKind::Switch => '#',
+        };
+        let first = (span.start.as_u64() / slot.as_u64()) as usize;
+        let last = (span.end.as_u64().saturating_sub(1) / slot.as_u64()) as usize;
+        for (s, cell) in row.iter_mut().enumerate().take(last + 1).skip(first) {
             let slot_start = s as u64 * slot.as_u64();
             let slot_end = slot_start + slot.as_u64();
-            let overlap = seg.end.as_u64().min(slot_end) - seg.start.as_u64().max(slot_start);
-            let cell = &mut grid[seg.proc.index()][s];
-            // Majority vote, with task segments outranking kernel filler on
+            let overlap = span.end.as_u64().min(slot_end) - span.start.as_u64().max(slot_start);
+            // Majority vote, with task spans outranking kernel filler on
             // ties so the schedule reads like the paper's figure.
             if overlap > cell.1 || (overlap == cell.1 && cell.0 == '#') {
                 *cell = (label, overlap);
@@ -72,34 +74,27 @@ pub fn render_gantt(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Segment;
-    use mpdp_core::ids::{JobId, ProcId};
+    use mpdp_obs::{Probe, Span};
 
-    fn seg(proc: u32, start: u64, end: u64, task: Option<u32>, kind: SegmentKind) -> Segment {
-        Segment {
-            proc: ProcId::new(proc),
-            job: Some(JobId::new(0)),
-            task: task.map(TaskId::new),
+    fn span(proc: u32, start: u64, end: u64, task: Option<u32>, kind: SpanKind) -> Span {
+        Span {
+            proc,
+            kind,
+            job: Some(0),
+            task,
             start: Cycles::new(start),
             end: Cycles::new(end),
-            kind,
         }
     }
 
     #[test]
     fn renders_majority_task_per_slot() {
-        let mut trace = Trace::new();
-        trace
-            .segments
-            .push(seg(0, 0, 80, Some(1), SegmentKind::Task));
-        trace
-            .segments
-            .push(seg(0, 80, 100, Some(2), SegmentKind::Task));
-        trace
-            .segments
-            .push(seg(1, 0, 50, Some(2), SegmentKind::Task));
+        let mut rec = EventRecorder::new(2);
+        rec.span(span(0, 0, 80, Some(1), SpanKind::Task));
+        rec.span(span(0, 80, 100, Some(2), SpanKind::Task));
+        rec.span(span(1, 0, 50, Some(2), SpanKind::Task));
         let labels = BTreeMap::from([(TaskId::new(1), 'A'), (TaskId::new(2), 'B')]);
-        let text = render_gantt(&trace, 2, Cycles::new(100), Cycles::new(50), &labels);
+        let text = render_gantt(&rec, Cycles::new(100), Cycles::new(50), &labels);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[1].contains("AA"), "slot 0 and 1 majority-A: {text}");
@@ -107,46 +102,40 @@ mod tests {
     }
 
     #[test]
-    fn kernel_segments_render_as_hash() {
-        let mut trace = Trace::new();
-        trace
-            .segments
-            .push(seg(0, 0, 100, None, SegmentKind::Kernel));
-        let text = render_gantt(
-            &trace,
-            1,
-            Cycles::new(100),
-            Cycles::new(100),
-            &BTreeMap::new(),
-        );
-        assert!(text.contains('#'));
+    fn kernel_spans_render_as_hash() {
+        for kind in [SpanKind::Sched, SpanKind::Isr, SpanKind::Switch] {
+            let mut rec = EventRecorder::new(1);
+            rec.span(span(0, 0, 100, None, kind));
+            let text = render_gantt(&rec, Cycles::new(100), Cycles::new(100), &BTreeMap::new());
+            assert!(text.contains('#'), "{kind:?}: {text}");
+        }
     }
 
     #[test]
     fn unknown_task_renders_question_mark() {
-        let mut trace = Trace::new();
-        trace
-            .segments
-            .push(seg(0, 0, 100, Some(9), SegmentKind::Task));
-        let text = render_gantt(
-            &trace,
-            1,
-            Cycles::new(100),
-            Cycles::new(50),
-            &BTreeMap::new(),
-        );
+        let mut rec = EventRecorder::new(1);
+        rec.span(span(0, 0, 100, Some(9), SpanKind::Task));
+        let text = render_gantt(&rec, Cycles::new(100), Cycles::new(50), &BTreeMap::new());
         assert!(text.contains("??"));
     }
 
     #[test]
     fn idle_everywhere_renders_dots() {
         let text = render_gantt(
-            &Trace::new(),
-            2,
+            &EventRecorder::new(2),
             Cycles::new(100),
             Cycles::new(25),
             &BTreeMap::new(),
         );
         assert_eq!(text.matches('·').count(), 8);
+    }
+
+    #[test]
+    fn rows_follow_the_recorder_and_skip_untracked_processors() {
+        let mut rec = EventRecorder::new(1);
+        rec.span(span(3, 0, 100, Some(1), SpanKind::Task));
+        let text = render_gantt(&rec, Cycles::new(100), Cycles::new(50), &BTreeMap::new());
+        assert_eq!(text.lines().count(), 2, "header plus one row: {text}");
+        assert!(text.ends_with("MB0   ··\n"), "{text}");
     }
 }

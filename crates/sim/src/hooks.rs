@@ -88,7 +88,7 @@ impl SimHooks {
     }
 }
 
-/// [`run_theoretical_probed`][crate::theoretical::run_theoretical_probed]
+/// [`run_theoretical_probed`]
 /// over the hook-resolved arrival schedule.
 ///
 /// # Errors
@@ -106,7 +106,7 @@ pub fn run_theoretical_hooked<S: Scheduler, P: Probe>(
     run_theoretical_probed(policy, &hooks.resolve(arrivals), config, faults, probe)
 }
 
-/// [`run_prototype_probed`][crate::prototype::run_prototype_probed] over
+/// [`run_prototype_probed`] over
 /// the hook-resolved arrival schedule — the *same* schedule
 /// [`run_theoretical_hooked`] sees for the same hooks, which is what makes
 /// cross-stack differential checks of a hooked run sound.

@@ -12,9 +12,9 @@
 //!   controller + timer over the modeled bus/memory platform, with explicit
 //!   context-switch traffic, scheduling-cycle costs, interrupt latency, and
 //!   bus contention;
-//! * [`trace`] — completions, deadline verdicts, response-time statistics,
-//!   activity segments;
-//! * [`gantt`] — ASCII schedule rendering (Figure 3).
+//! * [`trace`] — completions, deadline verdicts, response-time statistics;
+//! * [`gantt`] — ASCII schedule rendering (Figure 3) from the activity
+//!   spans a probed run records.
 //!
 //! ```
 //! use mpdp_sim::theoretical::{run_theoretical, TheoreticalConfig};
@@ -51,7 +51,7 @@ pub mod stats;
 pub mod theoretical;
 pub mod trace;
 
-pub use export::{completions_csv, segments_csv};
+pub use export::completions_csv;
 pub use gantt::render_gantt;
 pub use hooks::{run_prototype_hooked, run_theoretical_hooked, SimHooks};
 pub use micro::{run_micro, AccessModel, MicroConfig, MicroResult, MicroTask};
@@ -59,10 +59,8 @@ pub use prototype::{
     run_prototype, run_prototype_probed, run_prototype_with, PrototypeConfig, PrototypeOutcome,
     PrototypeSim,
 };
-pub use stats::{
-    miss_ratio, proc_breakdowns, response_stats, ProcBreakdown, ResponseStats, SurvivalStats,
-};
+pub use stats::{miss_ratio, response_stats, ResponseStats, SurvivalStats};
 pub use theoretical::{
     run_theoretical, run_theoretical_probed, run_theoretical_with, SimOutcome, TheoreticalConfig,
 };
-pub use trace::{CompletionRecord, Segment, SegmentKind, Trace};
+pub use trace::{CompletionRecord, Trace};

@@ -38,7 +38,7 @@ use mpdp_kernel::{KernelCost, KernelCosts, KernelStats, Microkernel, SchedulingP
 use mpdp_obs::{Bucket, EventKind, IrqKind, NullProbe, Probe, Span, SpanKind, WorkSplitter};
 
 use crate::stats::SurvivalStats;
-use crate::trace::{Segment, SegmentKind, Trace};
+use crate::trace::Trace;
 
 /// Configuration of a prototype run.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +59,6 @@ pub struct PrototypeConfig {
     pub kernel_bus_rate: f64,
     /// Bus-access rate during ISR bookkeeping (register pokes).
     pub isr_bus_rate: f64,
-    /// Record per-processor activity segments (Gantt).
-    pub record_segments: bool,
     /// Emulate the stock single-target Xilinx controller: every interrupt
     /// (timer and peripherals) is delivered only to this processor. `None`
     /// (the default) uses the paper's multiprocessor distribution.
@@ -91,7 +89,6 @@ impl PrototypeConfig {
             kernel_costs: KernelCosts::default(),
             kernel_bus_rate: 0.05,
             isr_bus_rate: 0.01,
-            record_segments: false,
             pin_interrupts_to: None,
             #[cfg(feature = "mutation")]
             isr_drop_every: None,
@@ -135,18 +132,12 @@ impl PrototypeConfig {
         self.kernel_costs = costs;
         self
     }
-
-    /// Enables segment recording.
-    pub fn with_segments(mut self) -> Self {
-        self.record_segments = true;
-        self
-    }
 }
 
 /// Result of a prototype run.
 #[derive(Debug, Clone)]
 pub struct PrototypeOutcome {
-    /// Completions, deadline verdicts, and (optionally) activity segments.
+    /// Completions and deadline verdicts.
     pub trace: Trace,
     /// Simulated end time.
     pub end: Cycles,
@@ -272,8 +263,8 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     desired: Vec<Option<JobId>>,
     now: Cycles,
     trace: Trace,
-    /// Open trace segment per processor (tracked when segment recording or
-    /// a probe is active).
+    /// Open activity span per processor (tracked only when the probe
+    /// records).
     open: Vec<Option<(SpanKind, Option<JobId>, Cycles)>>,
     /// Instant the scheduler/controller lock becomes free; ISRs on other
     /// processors serialize behind it.
@@ -575,9 +566,9 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             self.scavenge();
             self.recompute_speeds();
         }
-        // Close open segments.
+        // Close open spans.
         for p in 0..self.n_procs() {
-            self.close_segment(ProcId::new(p as u32));
+            self.close_span(ProcId::new(p as u32));
         }
         if self.track {
             self.survival.shed += self.kernel.stats().aperiodic_shed;
@@ -616,7 +607,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 EventKind::FailStop { proc: p as u32 },
             );
         }
-        self.close_segment(proc);
+        self.close_span(proc);
         self.activity[p] = Activity::Idle;
         self.intc.fail_stop(proc, self.now);
         let report = self.kernel.fail_stop(proc, self.now);
@@ -655,7 +646,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 OverrunAction::Kill => {
                     let proc = ProcId::new(p as u32);
                     let task = self.task_of(job);
-                    self.close_segment(proc);
+                    self.close_span(proc);
                     let (record, next) = self.kernel.abort_job(proc, job, self.now);
                     if P::ENABLED {
                         self.probe.event(
@@ -943,7 +934,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             Activity::Running(j) => Some(j),
             _ => None,
         };
-        self.close_segment(proc);
+        self.close_span(proc);
         if P::ENABLED {
             let irq = match sig.source {
                 InterruptSource::Timer => IrqKind::Timer,
@@ -1240,7 +1231,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                     .policy_mut()
                     .on_progress(job, Cycles::new(delta), self.now);
             }
-            self.close_segment(proc);
+            self.close_span(proc);
             let (record, next) = self.kernel.complete_job(proc, job, self.now);
             if P::ENABLED {
                 self.probe.event(
@@ -1397,8 +1388,8 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
     }
 
     fn set_activity(&mut self, proc: ProcId, activity: Activity) {
-        self.close_segment(proc);
-        if self.config.record_segments || P::ENABLED {
+        self.close_span(proc);
+        if P::ENABLED {
             let open = match &activity {
                 Activity::Running(j) => Some((SpanKind::Task, Some(*j))),
                 Activity::Busy { work, .. } => match work {
@@ -1415,37 +1406,17 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         self.activity[proc.index()] = activity;
     }
 
-    fn close_segment(&mut self, proc: ProcId) {
+    fn close_span(&mut self, proc: ProcId) {
         if let Some((kind, job, start)) = self.open[proc.index()].take() {
             if start < self.now {
-                let task = job.map(|j| self.task_of(j));
-                if self.config.record_segments {
-                    // The coarse Gantt trace keeps its historical
-                    // three-kind classification.
-                    let seg_kind = match kind {
-                        SpanKind::Task => SegmentKind::Task,
-                        SpanKind::Switch => SegmentKind::Switch,
-                        SpanKind::Sched | SpanKind::Isr => SegmentKind::Kernel,
-                    };
-                    self.trace.segments.push(Segment {
-                        proc,
-                        job,
-                        task,
-                        start,
-                        end: self.now,
-                        kind: seg_kind,
-                    });
-                }
-                if P::ENABLED {
-                    self.probe.span(Span {
-                        proc: proc.as_u32(),
-                        kind,
-                        job: job.map(JobId::as_u32),
-                        task: task.map(TaskId::as_u32),
-                        start,
-                        end: self.now,
-                    });
-                }
+                self.probe.span(Span {
+                    proc: proc.as_u32(),
+                    kind,
+                    job: job.map(JobId::as_u32),
+                    task: job.map(|j| self.task_of(j).as_u32()),
+                    start,
+                    end: self.now,
+                });
             }
         }
     }
@@ -1646,23 +1617,24 @@ mod tests {
     }
 
     #[test]
-    fn segments_recorded_when_enabled() {
-        let outcome = run_prototype(policy(1), &[], cfg(10).with_segments()).unwrap();
-        assert!(!outcome.trace.segments.is_empty());
-        let kinds: std::collections::HashSet<_> =
-            outcome.trace.segments.iter().map(|s| s.kind).collect();
-        assert!(kinds.contains(&SegmentKind::Task));
-        assert!(kinds.contains(&SegmentKind::Kernel));
-        assert!(kinds.contains(&SegmentKind::Switch));
-        // Segments never overlap per processor.
-        let mut per_proc: Vec<Vec<&Segment>> = vec![Vec::new(); 1];
-        for s in &outcome.trace.segments {
-            per_proc[s.proc.index()].push(s);
+    fn spans_recorded_when_probed() {
+        let (_, rec) = run_prototype_probed(
+            policy(1),
+            &[],
+            cfg(10),
+            &CompiledFaults::none(),
+            mpdp_obs::EventRecorder::new(1),
+        )
+        .unwrap();
+        for kind in [SpanKind::Task, SpanKind::Sched, SpanKind::Switch] {
+            assert!(
+                rec.spans().iter().any(|s| s.kind == kind),
+                "missing {kind:?} spans"
+            );
         }
-        for segs in &per_proc {
-            for w in segs.windows(2) {
-                assert!(w[0].end <= w[1].start, "{:?} overlaps {:?}", w[0], w[1]);
-            }
+        // Spans never overlap per processor.
+        for w in rec.spans().windows(2) {
+            assert!(w[0].end <= w[1].start, "{:?} overlaps {:?}", w[0], w[1]);
         }
     }
 

@@ -1,11 +1,12 @@
 //! Summary statistics over simulation traces: response-time distributions,
-//! per-processor time breakdowns, and throughput measures — the numbers a
-//! systems paper's evaluation section is made of.
+//! deadline-miss ratios, and survivability counters — the numbers a
+//! systems paper's evaluation section is made of. How each processor spent
+//! its cycles is the probe's cycle ledger (`mpdp_obs::CycleLedger`).
 
-use mpdp_core::ids::{ProcId, TaskId};
+use mpdp_core::ids::TaskId;
 use mpdp_core::time::Cycles;
 
-use crate::trace::{CompletionRecord, SegmentKind, Trace};
+use crate::trace::{CompletionRecord, Trace};
 
 /// Distribution summary of a set of response times.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -290,71 +291,6 @@ pub fn response_stats(trace: &Trace, task: TaskId) -> Option<ResponseStats> {
     acc.finalize()
 }
 
-/// How one processor spent a window (requires segment recording).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProcBreakdown {
-    /// The processor.
-    pub proc: ProcId,
-    /// Cycles executing task work.
-    pub task: Cycles,
-    /// Cycles in the scheduler or ISRs.
-    pub kernel: Cycles,
-    /// Cycles moving contexts.
-    pub switch: Cycles,
-    /// Idle cycles (window minus everything else).
-    pub idle: Cycles,
-}
-
-impl ProcBreakdown {
-    /// Busy fraction (task work over the whole window).
-    pub fn utilization(&self, window: Cycles) -> f64 {
-        if window.is_zero() {
-            0.0
-        } else {
-            self.task.as_u64() as f64 / window.as_u64() as f64
-        }
-    }
-
-    /// Overhead fraction: kernel + switch time over the whole window.
-    pub fn overhead_fraction(&self, window: Cycles) -> f64 {
-        if window.is_zero() {
-            0.0
-        } else {
-            (self.kernel + self.switch).as_u64() as f64 / window.as_u64() as f64
-        }
-    }
-}
-
-/// Computes per-processor time breakdowns over `[0, window)` from recorded
-/// segments.
-pub fn proc_breakdowns(trace: &Trace, n_procs: usize, window: Cycles) -> Vec<ProcBreakdown> {
-    let mut out: Vec<ProcBreakdown> = (0..n_procs)
-        .map(|p| ProcBreakdown {
-            proc: ProcId::new(p as u32),
-            task: Cycles::ZERO,
-            kernel: Cycles::ZERO,
-            switch: Cycles::ZERO,
-            idle: Cycles::ZERO,
-        })
-        .collect();
-    for s in &trace.segments {
-        let len = s.end.min(window).saturating_sub(s.start);
-        let slot = &mut out[s.proc.index()];
-        match s.kind {
-            SegmentKind::Task => slot.task += len,
-            SegmentKind::Kernel => slot.kernel += len,
-            SegmentKind::Switch => slot.switch += len,
-        }
-    }
-    for slot in &mut out {
-        slot.idle = window
-            .saturating_sub(slot.task)
-            .saturating_sub(slot.kernel)
-            .saturating_sub(slot.switch);
-    }
-    out
-}
-
 /// Hard-deadline miss ratio over all periodic completions.
 pub fn miss_ratio(trace: &Trace) -> f64 {
     let hard: Vec<_> = trace
@@ -372,7 +308,6 @@ pub fn miss_ratio(trace: &Trace) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Segment;
     use mpdp_core::ids::JobId;
     use mpdp_core::policy::{Job, JobClass};
 
@@ -428,35 +363,6 @@ mod tests {
         assert!((stats.p99_s - 990.0 / 5e7).abs() < 1e-12);
         assert!((stats.p999_s - 999.0 / 5e7).abs() < 1e-12);
         assert!((stats.max_s - 1000.0 / 5e7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn breakdown_partitions_the_window() {
-        let mut trace = Trace::new();
-        let window = Cycles::new(1000);
-        for (start, end, kind) in [
-            (0u64, 600, SegmentKind::Task),
-            (600, 700, SegmentKind::Kernel),
-            (700, 750, SegmentKind::Switch),
-        ] {
-            trace.segments.push(Segment {
-                proc: ProcId::new(0),
-                job: None,
-                task: None,
-                start: Cycles::new(start),
-                end: Cycles::new(end),
-                kind,
-            });
-        }
-        let breakdown = &proc_breakdowns(&trace, 2, window)[0];
-        assert_eq!(breakdown.task, Cycles::new(600));
-        assert_eq!(breakdown.kernel, Cycles::new(100));
-        assert_eq!(breakdown.switch, Cycles::new(50));
-        assert_eq!(breakdown.idle, Cycles::new(250));
-        assert!((breakdown.utilization(window) - 0.6).abs() < 1e-12);
-        assert!((breakdown.overhead_fraction(window) - 0.15).abs() < 1e-12);
-        // Untouched processor is fully idle.
-        assert_eq!(proc_breakdowns(&trace, 2, window)[1].idle, window);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! and all overheads are folded into a configurable fractional inflation of
 //! every job's execution demand (the paper's 2%).
 
+use std::collections::VecDeque;
+
 use mpdp_core::error::TaskSetError;
 use mpdp_core::ids::{JobId, ProcId, TaskId};
 use mpdp_core::policy::{JobClass, OverrunAction, Scheduler};
@@ -19,7 +21,7 @@ use mpdp_faults::CompiledFaults;
 use mpdp_obs::{Bucket, EventKind, NullProbe, Probe, Span, SpanKind};
 
 use crate::stats::SurvivalStats;
-use crate::trace::{Segment, SegmentKind, Trace};
+use crate::trace::Trace;
 
 /// Configuration of a theoretical run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,9 +33,6 @@ pub struct TheoreticalConfig {
     pub overhead: f64,
     /// Simulated horizon.
     pub horizon: Cycles,
-    /// Record per-processor activity segments (needed for Gantt output;
-    /// off by default to keep long runs small).
-    pub record_segments: bool,
     /// Also fire releases/promotions at their exact instants instead of
     /// waiting for the next tick (the "pure algorithm" mode; the paper's
     /// simulator is tick-driven, so this defaults to off).
@@ -47,7 +46,6 @@ impl TheoreticalConfig {
             tick: DEFAULT_TICK,
             overhead: 0.02,
             horizon,
-            record_segments: false,
             event_driven: false,
         }
     }
@@ -67,12 +65,6 @@ impl TheoreticalConfig {
         self
     }
 
-    /// Enables segment recording.
-    pub fn with_segments(mut self) -> Self {
-        self.record_segments = true;
-        self
-    }
-
     /// Enables exact (event-driven) releases and promotions.
     pub fn with_event_driven(mut self) -> Self {
         self.event_driven = true;
@@ -83,7 +75,7 @@ impl TheoreticalConfig {
 /// Result of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
-    /// Completions, deadline verdicts, and (optionally) activity segments.
+    /// Completions and deadline verdicts.
     pub trace: Trace,
     /// Context switches performed (running-map changes).
     pub switches: u64,
@@ -178,74 +170,37 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
     if config.tick.is_zero() {
         return Err(TaskSetError::InvalidParameter("tick"));
     }
-    let scale = 1.0 + config.overhead;
     let n_aperiodic = policy.table().aperiodic().len();
-    let n_periodic = policy.table().periodic().len();
-    // Per-task activation serialization: a trigger arriving while the same
-    // task's previous activation is in flight is deferred until it retires
-    // (one context slot per task); response is still measured from arrival.
-    let mut outstanding = vec![0usize; n_aperiodic];
-    let mut deferred: Vec<std::collections::VecDeque<Cycles>> =
-        vec![std::collections::VecDeque::new(); n_aperiodic];
-    let mut remaining: Vec<Cycles> = Vec::new();
+    // Fault/degradation state. `track` gates every piece of survival
+    // bookkeeping so fault-free runs take the exact pre-fault code path.
+    let deg = policy.degradation();
+    let track = !faults.is_empty() || !deg.is_inert();
+    let mut jobs = Jobs {
+        remaining: Vec::new(),
+        ledger: Vec::new(),
+        outstanding: vec![0; n_aperiodic],
+        deferred: vec![VecDeque::new(); n_aperiodic],
+        faults,
+        scale: 1.0 + config.overhead,
+        budget_margin: deg.budget_margin,
+        track,
+    };
     let mut trace = Trace::new();
     let mut switches = 0u64;
     let mut now = Cycles::ZERO;
     let mut next_tick = Cycles::ZERO;
     let mut arrival_idx = 0usize;
-    // Per-processor open segment (job, task, start) for Gantt recording
-    // and/or probe spans.
-    let track_spans = config.record_segments || P::ENABLED;
+    // Per-processor open task span (job, task, start), filled only when
+    // the probe records.
     let mut open: Vec<Option<(JobId, TaskId, Cycles)>> = vec![None; policy.n_procs()];
     // Scratch the scheduling passes reuse, so a pass allocates nothing.
     let mut released = Vec::new();
     let mut promoted = Vec::new();
     let mut desired = Vec::new();
 
-    // Fault/degradation state. `track` gates every piece of survival
-    // bookkeeping so fault-free runs take the exact pre-fault code path.
-    let deg = policy.degradation();
-    let track = !faults.is_empty() || !deg.is_inert();
     let mut survival = SurvivalStats::default();
     let mut fail_pending = faults.fail_stop();
     let mut awaiting_recovery = false;
-    // Per-job budget ledger (filled only when `track`): demand at release,
-    // enforcement budget, and whether the overrun was already acted on.
-    let mut ledger: Vec<(Cycles, Cycles, bool)> = Vec::new();
-
-    let demand_of = |policy: &S, job: JobId| -> Cycles {
-        let (base, coord) = match policy.job(job).class {
-            JobClass::Periodic { task_index } => {
-                (policy.table().periodic()[task_index].wcet(), task_index)
-            }
-            JobClass::Aperiodic { task_index } => (
-                policy.table().aperiodic()[task_index].exec(),
-                n_periodic + task_index,
-            ),
-        };
-        if faults.is_empty() {
-            base.scale(scale)
-        } else {
-            // Bus spikes have no bus to act on in this stack; they inflate
-            // the demand of jobs released inside the window instead.
-            let release = policy.job(job).release;
-            let f = faults.exec_factor(coord, release) * faults.bus_factor(release);
-            base.scale(scale * f)
-        }
-    };
-    let nominal_of = |policy: &S, job: JobId| -> Cycles {
-        match policy.job(job).class {
-            JobClass::Periodic { task_index } => policy.table().periodic()[task_index].wcet(),
-            JobClass::Aperiodic { task_index } => policy.table().aperiodic()[task_index].exec(),
-        }
-        .scale(scale)
-    };
-    let task_of = |policy: &S, job: JobId| -> TaskId {
-        match policy.job(job).class {
-            JobClass::Periodic { task_index } => policy.table().periodic()[task_index].id(),
-            JobClass::Aperiodic { task_index } => policy.table().aperiodic()[task_index].id(),
-        }
-    };
 
     loop {
         // --- Find the next event time. ---
@@ -255,7 +210,7 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
         }
         for p in 0..policy.n_procs() {
             if let Some(job) = policy.running()[p] {
-                t = t.min(now + remaining[job.index()]);
+                t = t.min(now + jobs.remaining[job.index()]);
             }
         }
         if config.event_driven {
@@ -290,7 +245,7 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                     if P::ENABLED {
                         probe.charge(p, Bucket::TaskWork, dt.as_u64());
                     }
-                    remaining[job.index()] = remaining[job.index()].saturating_sub(dt);
+                    jobs.remaining[job.index()] = jobs.remaining[job.index()].saturating_sub(dt);
                     policy.on_progress(job, dt, t);
                 } else if P::ENABLED {
                     probe.charge(p, Bucket::Idle, dt.as_u64());
@@ -320,14 +275,7 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                 if P::ENABLED {
                     probe.event(now, Some(p as u32), EventKind::FailStop { proc: p as u32 });
                 }
-                close_segment(
-                    &mut open,
-                    &mut trace,
-                    ProcId::new(p as u32),
-                    now,
-                    config.record_segments,
-                    &mut probe,
-                );
+                close_span(&mut open, ProcId::new(p as u32), now, &mut probe);
                 // Recovery completes at the next scheduling pass, which
                 // re-applies the (re-homed) assignment.
                 awaiting_recovery = true;
@@ -338,7 +286,7 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
         loop {
             let done: Option<(ProcId, JobId)> = (0..policy.n_procs()).find_map(|p| {
                 policy.running()[p]
-                    .filter(|j| remaining[j.index()].is_zero())
+                    .filter(|j| jobs.remaining[j.index()].is_zero())
                     .map(|j| (ProcId::new(p as u32), j))
             });
             let Some((proc, job)) = done else { break };
@@ -357,86 +305,28 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                 );
             }
             if let JobClass::Aperiodic { task_index } = record.class {
-                outstanding[task_index] -= 1;
-                while let Some(arrival) = deferred[task_index].pop_front() {
-                    match policy.try_release_aperiodic(task_index, arrival) {
-                        Some(job) => {
-                            outstanding[task_index] += 1;
-                            let idx = job.index();
-                            grow_to(&mut remaining, idx, Cycles::ZERO);
-                            remaining[idx] = demand_of(&policy, job);
-                            if P::ENABLED {
-                                probe.event(
-                                    now,
-                                    None,
-                                    EventKind::JobRelease {
-                                        job: job.as_u32(),
-                                        task: task_of(&policy, job).as_u32(),
-                                        aperiodic: true,
-                                    },
-                                );
-                            }
-                            if track {
-                                grow_to(&mut ledger, idx, (Cycles::ZERO, Cycles::ZERO, true));
-                                let b = nominal_of(&policy, job).scale(deg.budget_margin);
-                                ledger[idx] = (remaining[idx], b, false);
-                            }
-                            reassign = true;
-                            break;
-                        }
-                        None => survival.shed += 1,
-                    }
+                if jobs.retire(&mut policy, task_index, now, &mut probe, &mut survival) {
+                    reassign = true;
                 }
             }
-            close_segment(
-                &mut open,
-                &mut trace,
-                proc,
-                now,
-                config.record_segments,
-                &mut probe,
-            );
+            close_span(&mut open, proc, now, &mut probe);
             // Completion path: local pickup, no global reshuffle.
             if let Some(next) = policy.pick_for_idle(proc) {
                 policy.set_running(proc, Some(next));
                 switches += 1;
-                let task = task_of(&policy, next);
-                open_segment(&mut open, proc, next, task, now, track_spans);
+                if P::ENABLED {
+                    open[proc.index()] = Some((next, task_of(&policy, next), now));
+                }
             }
         }
 
         // --- Aperiodic arrivals. ---
         while arrival_idx < arrivals.len() && arrivals[arrival_idx].0 <= now {
             let (at, task_index) = arrivals[arrival_idx];
-            if outstanding[task_index] > 0 {
-                deferred[task_index].push_back(at);
-            } else {
-                match policy.try_release_aperiodic(task_index, at) {
-                    Some(job) => {
-                        outstanding[task_index] += 1;
-                        let idx = job.index();
-                        grow_to(&mut remaining, idx, Cycles::ZERO);
-                        remaining[idx] = demand_of(&policy, job);
-                        if P::ENABLED {
-                            probe.event(
-                                now,
-                                None,
-                                EventKind::JobRelease {
-                                    job: job.as_u32(),
-                                    task: task_of(&policy, job).as_u32(),
-                                    aperiodic: true,
-                                },
-                            );
-                        }
-                        if track {
-                            grow_to(&mut ledger, idx, (Cycles::ZERO, Cycles::ZERO, true));
-                            let b = nominal_of(&policy, job).scale(deg.budget_margin);
-                            ledger[idx] = (remaining[idx], b, false);
-                        }
-                        reassign = true;
-                    }
-                    None => survival.shed += 1,
-                }
+            if jobs.outstanding[task_index] > 0 {
+                jobs.deferred[task_index].push_back(at);
+            } else if jobs.activate(&mut policy, task_index, at, now, &mut probe, &mut survival) {
+                reassign = true;
             }
             arrival_idx += 1;
         }
@@ -475,11 +365,11 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                             continue;
                         };
                         let idx = job.index();
-                        let (init, bud, done) = ledger[idx];
-                        if done || init.saturating_sub(remaining[idx]) <= bud {
+                        let (init, bud, done) = jobs.ledger[idx];
+                        if done || init.saturating_sub(jobs.remaining[idx]) <= bud {
                             continue;
                         }
-                        ledger[idx].2 = true;
+                        jobs.ledger[idx].2 = true;
                         survival.overruns += 1;
                         match action {
                             OverrunAction::RunToCompletion => {}
@@ -499,49 +389,17 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                                         },
                                     );
                                 }
-                                close_segment(
-                                    &mut open,
-                                    &mut trace,
-                                    ProcId::new(p as u32),
-                                    now,
-                                    config.record_segments,
-                                    &mut probe,
-                                );
+                                close_span(&mut open, ProcId::new(p as u32), now, &mut probe);
                                 if let JobClass::Aperiodic { task_index } = record.class {
                                     // Same re-trigger bookkeeping as a
                                     // completion.
-                                    outstanding[task_index] -= 1;
-                                    while let Some(arrival) = deferred[task_index].pop_front() {
-                                        match policy.try_release_aperiodic(task_index, arrival) {
-                                            Some(j2) => {
-                                                outstanding[task_index] += 1;
-                                                let idx = j2.index();
-                                                grow_to(&mut remaining, idx, Cycles::ZERO);
-                                                remaining[idx] = demand_of(&policy, j2);
-                                                if P::ENABLED {
-                                                    probe.event(
-                                                        now,
-                                                        None,
-                                                        EventKind::JobRelease {
-                                                            job: j2.as_u32(),
-                                                            task: task_of(&policy, j2).as_u32(),
-                                                            aperiodic: true,
-                                                        },
-                                                    );
-                                                }
-                                                grow_to(
-                                                    &mut ledger,
-                                                    idx,
-                                                    (Cycles::ZERO, Cycles::ZERO, true),
-                                                );
-                                                let b = nominal_of(&policy, j2)
-                                                    .scale(deg.budget_margin);
-                                                ledger[idx] = (remaining[idx], b, false);
-                                                break;
-                                            }
-                                            None => survival.shed += 1,
-                                        }
-                                    }
+                                    jobs.retire(
+                                        &mut policy,
+                                        task_index,
+                                        now,
+                                        &mut probe,
+                                        &mut survival,
+                                    );
                                 }
                             }
                             OverrunAction::Demote => {
@@ -554,25 +412,7 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
             }
             policy.release_due_into(now, &mut released);
             for &job in &released {
-                let idx = job.index();
-                grow_to(&mut remaining, idx, Cycles::ZERO);
-                remaining[idx] = demand_of(&policy, job);
-                if P::ENABLED {
-                    probe.event(
-                        now,
-                        None,
-                        EventKind::JobRelease {
-                            job: job.as_u32(),
-                            task: task_of(&policy, job).as_u32(),
-                            aperiodic: false,
-                        },
-                    );
-                }
-                if track {
-                    grow_to(&mut ledger, idx, (Cycles::ZERO, Cycles::ZERO, true));
-                    let b = nominal_of(&policy, job).scale(deg.budget_margin);
-                    ledger[idx] = (remaining[idx], b, false);
-                }
+                jobs.release(&policy, job, now, &mut probe);
             }
             policy.promote_due_into(now, &mut promoted);
             for &job in &promoted {
@@ -599,14 +439,7 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                     continue;
                 }
                 let proc = ProcId::new(p as u32);
-                close_segment(
-                    &mut open,
-                    &mut trace,
-                    proc,
-                    now,
-                    config.record_segments,
-                    &mut probe,
-                );
+                close_span(&mut open, proc, now, &mut probe);
                 policy.set_running(proc, None);
                 switches += 1;
             }
@@ -614,10 +447,10 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
                 let Some(j) = want.filter(|_| policy.running()[p] != want) else {
                     continue;
                 };
-                let proc = ProcId::new(p as u32);
-                policy.set_running(proc, Some(j));
-                let task = task_of(&policy, j);
-                open_segment(&mut open, proc, j, task, now, track_spans);
+                policy.set_running(ProcId::new(p as u32), Some(j));
+                if P::ENABLED {
+                    open[p] = Some((j, task_of(&policy, j), now));
+                }
             }
             if awaiting_recovery {
                 // First scheduling pass after the fail-stop: the degraded
@@ -631,16 +464,9 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
         }
     }
 
-    // Close any open segments at the horizon.
+    // Close any open spans at the horizon.
     for p in 0..policy.n_procs() {
-        close_segment(
-            &mut open,
-            &mut trace,
-            ProcId::new(p as u32),
-            config.horizon,
-            config.record_segments,
-            &mut probe,
-        );
+        close_span(&mut open, ProcId::new(p as u32), config.horizon, &mut probe);
     }
 
     if track && survival.failed_proc.is_none() {
@@ -659,55 +485,163 @@ pub fn run_theoretical_probed<S: Scheduler, P: Probe>(
     ))
 }
 
+/// The per-job books of a run and its one release path.
+struct Jobs<'a> {
+    /// Work left, per job id.
+    remaining: Vec<Cycles>,
+    /// Budget ledger, per job id (filled only when `track`): demand at
+    /// release, enforcement budget, and whether the overrun was already
+    /// acted on.
+    ledger: Vec<(Cycles, Cycles, bool)>,
+    /// Per-task activation serialization: a trigger arriving while the
+    /// same task's previous activation is in flight waits in `deferred`
+    /// until it retires (one context slot per task); response is still
+    /// measured from arrival.
+    outstanding: Vec<usize>,
+    deferred: Vec<VecDeque<Cycles>>,
+    faults: &'a CompiledFaults,
+    /// `1 + overhead`.
+    scale: f64,
+    budget_margin: f64,
+    track: bool,
+}
+
+impl Jobs<'_> {
+    /// Registers a job the policy just released: its demand, its
+    /// `JobRelease` event and, when tracking, its budget-ledger row.
+    fn release<S: Scheduler, P: Probe>(
+        &mut self,
+        policy: &S,
+        job: JobId,
+        now: Cycles,
+        probe: &mut P,
+    ) {
+        let idx = job.index();
+        grow_to(&mut self.remaining, idx, Cycles::ZERO);
+        self.remaining[idx] = self.demand_of(policy, job);
+        if P::ENABLED {
+            probe.event(
+                now,
+                None,
+                EventKind::JobRelease {
+                    job: job.as_u32(),
+                    task: task_of(policy, job).as_u32(),
+                    aperiodic: matches!(policy.job(job).class, JobClass::Aperiodic { .. }),
+                },
+            );
+        }
+        if self.track {
+            grow_to(&mut self.ledger, idx, (Cycles::ZERO, Cycles::ZERO, true));
+            let budget = base_demand(policy, job)
+                .scale(self.scale)
+                .scale(self.budget_margin);
+            self.ledger[idx] = (self.remaining[idx], budget, false);
+        }
+    }
+
+    /// Releases a job of aperiodic task `task_index` for the trigger at
+    /// `arrival`, or counts the trigger shed when the policy refuses it.
+    /// Returns whether a job was released.
+    fn activate<S: Scheduler, P: Probe>(
+        &mut self,
+        policy: &mut S,
+        task_index: usize,
+        arrival: Cycles,
+        now: Cycles,
+        probe: &mut P,
+        survival: &mut SurvivalStats,
+    ) -> bool {
+        match policy.try_release_aperiodic(task_index, arrival) {
+            Some(job) => {
+                self.outstanding[task_index] += 1;
+                self.release(policy, job, now, probe);
+                true
+            }
+            None => {
+                survival.shed += 1;
+                false
+            }
+        }
+    }
+
+    /// Retires an activation of aperiodic task `task_index` (completed or
+    /// killed) and activates the oldest deferred trigger the policy
+    /// admits. Returns whether a job was released.
+    fn retire<S: Scheduler, P: Probe>(
+        &mut self,
+        policy: &mut S,
+        task_index: usize,
+        now: Cycles,
+        probe: &mut P,
+        survival: &mut SurvivalStats,
+    ) -> bool {
+        self.outstanding[task_index] -= 1;
+        while let Some(arrival) = self.deferred[task_index].pop_front() {
+            if self.activate(policy, task_index, arrival, now, probe, survival) {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Execution demand of a just-released job: its base demand inflated
+    /// by the overhead and, under a fault plan, by the job's WCET-overrun
+    /// and bus-spike factors.
+    fn demand_of<S: Scheduler>(&self, policy: &S, job: JobId) -> Cycles {
+        let base = base_demand(policy, job);
+        if self.faults.is_empty() {
+            return base.scale(self.scale);
+        }
+        let coord = match policy.job(job).class {
+            JobClass::Periodic { task_index } => task_index,
+            JobClass::Aperiodic { task_index } => policy.table().periodic().len() + task_index,
+        };
+        // Bus spikes have no bus to act on in this stack; they inflate the
+        // demand of jobs released inside the window instead.
+        let release = policy.job(job).release;
+        let f = self.faults.exec_factor(coord, release) * self.faults.bus_factor(release);
+        base.scale(self.scale * f)
+    }
+}
+
+/// A job's nominal demand: its task's WCET or execution time.
+fn base_demand<S: Scheduler>(policy: &S, job: JobId) -> Cycles {
+    match policy.job(job).class {
+        JobClass::Periodic { task_index } => policy.table().periodic()[task_index].wcet(),
+        JobClass::Aperiodic { task_index } => policy.table().aperiodic()[task_index].exec(),
+    }
+}
+
+fn task_of<S: Scheduler>(policy: &S, job: JobId) -> TaskId {
+    match policy.job(job).class {
+        JobClass::Periodic { task_index } => policy.table().periodic()[task_index].id(),
+        JobClass::Aperiodic { task_index } => policy.table().aperiodic()[task_index].id(),
+    }
+}
+
 fn grow_to<T: Clone>(v: &mut Vec<T>, idx: usize, fill: T) {
     if v.len() <= idx {
         v.resize(idx + 1, fill);
     }
 }
 
-fn open_segment(
+/// Closes `proc`'s open task span at `now` and hands it to the probe.
+fn close_span<P: Probe>(
     open: &mut [Option<(JobId, TaskId, Cycles)>],
     proc: ProcId,
-    job: JobId,
-    task: TaskId,
     now: Cycles,
-    enabled: bool,
-) {
-    if enabled {
-        open[proc.index()] = Some((job, task, now));
-    }
-}
-
-fn close_segment<P: Probe>(
-    open: &mut [Option<(JobId, TaskId, Cycles)>],
-    trace: &mut Trace,
-    proc: ProcId,
-    now: Cycles,
-    record: bool,
     probe: &mut P,
 ) {
     if let Some((job, task, start)) = open[proc.index()].take() {
         if start < now {
-            if record {
-                trace.segments.push(Segment {
-                    proc,
-                    job: Some(job),
-                    task: Some(task),
-                    start,
-                    end: now,
-                    kind: SegmentKind::Task,
-                });
-            }
-            if P::ENABLED {
-                probe.span(Span {
-                    proc: proc.as_u32(),
-                    kind: SpanKind::Task,
-                    job: Some(job.as_u32()),
-                    task: Some(task.as_u32()),
-                    start,
-                    end: now,
-                });
-            }
+            probe.span(Span {
+                proc: proc.as_u32(),
+                kind: SpanKind::Task,
+                job: Some(job.as_u32()),
+                task: Some(task.as_u32()),
+                start,
+                end: now,
+            });
         }
     }
 }
@@ -818,10 +752,19 @@ mod tests {
     }
 
     #[test]
-    fn segments_cover_busy_time() {
-        let outcome = run_theoretical(simple_policy(1), &[], cfg(10_000).with_segments()).unwrap();
-        // 300 + 400 cycles of work on P0.
-        assert_eq!(outcome.trace.busy_cycles(ProcId::new(0)), Cycles::new(700));
+    fn spans_cover_busy_time() {
+        let (_, rec) = run_theoretical_probed(
+            simple_policy(1),
+            &[],
+            cfg(10_000),
+            &CompiledFaults::none(),
+            mpdp_obs::EventRecorder::new(1),
+        )
+        .unwrap();
+        // 300 + 400 cycles of work on P0, as spans and in the ledger.
+        let busy: u64 = rec.spans().iter().map(|s| (s.end - s.start).as_u64()).sum();
+        assert_eq!(busy, 700);
+        assert_eq!(rec.ledger().get(0, Bucket::TaskWork), 700);
     }
 
     #[test]

@@ -1,37 +1,15 @@
-//! Execution traces and summary statistics shared by both simulators.
+//! Completion traces shared by both simulators: one record per retired
+//! job, with its response time and deadline verdict.
+//!
+//! What each processor was doing over time is not kept here. A run records
+//! it through its [`Probe`](mpdp_obs::Probe): an
+//! [`EventRecorder`](mpdp_obs::EventRecorder) holds the activity spans the
+//! Gantt chart and the Chrome trace are drawn from, and the cycle ledger
+//! that attributes every cycle to one bucket.
 
-use mpdp_core::ids::{JobId, ProcId, TaskId};
+use mpdp_core::ids::{JobId, TaskId};
 use mpdp_core::policy::JobClass;
 use mpdp_core::time::Cycles;
-
-/// What a processor was doing during a trace segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SegmentKind {
-    /// Executing task work.
-    Task,
-    /// Running the scheduling routine or an ISR.
-    Kernel,
-    /// Saving/restoring contexts.
-    Switch,
-}
-
-/// One contiguous activity interval on one processor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
-    /// The processor.
-    pub proc: ProcId,
-    /// The job being executed (task segments) or served (switch segments),
-    /// if any.
-    pub job: Option<JobId>,
-    /// The task the job activates, if any.
-    pub task: Option<TaskId>,
-    /// Segment start.
-    pub start: Cycles,
-    /// Segment end (exclusive).
-    pub end: Cycles,
-    /// Activity kind.
-    pub kind: SegmentKind,
-}
 
 /// The final record of one completed job.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,8 +37,6 @@ pub struct CompletionRecord {
 pub struct Trace {
     /// Completions in finish order.
     pub completions: Vec<CompletionRecord>,
-    /// Activity segments (only populated when segment recording is on).
-    pub segments: Vec<Segment>,
 }
 
 impl Trace {
@@ -134,15 +110,6 @@ impl Trace {
     pub fn max_response(&self, task: TaskId) -> Option<Cycles> {
         self.completions_of(task).map(|c| c.response).max()
     }
-
-    /// Total task-work cycles recorded in segments for `proc`.
-    pub fn busy_cycles(&self, proc: ProcId) -> Cycles {
-        self.segments
-            .iter()
-            .filter(|s| s.proc == proc && s.kind == SegmentKind::Task)
-            .map(|s| s.end - s.start)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -201,28 +168,5 @@ mod tests {
         assert_eq!(trace.max_response(TaskId::new(5)), Some(Cycles::new(300)));
         assert_eq!(trace.mean_response(TaskId::new(1)), None);
         assert_eq!(trace.completions_of(TaskId::new(9)).count(), 1);
-    }
-
-    #[test]
-    fn busy_cycles_sums_task_segments_only() {
-        let mut trace = Trace::new();
-        trace.segments.push(Segment {
-            proc: ProcId::new(0),
-            job: Some(JobId::new(0)),
-            task: Some(TaskId::new(0)),
-            start: Cycles::new(0),
-            end: Cycles::new(100),
-            kind: SegmentKind::Task,
-        });
-        trace.segments.push(Segment {
-            proc: ProcId::new(0),
-            job: None,
-            task: None,
-            start: Cycles::new(100),
-            end: Cycles::new(150),
-            kind: SegmentKind::Kernel,
-        });
-        assert_eq!(trace.busy_cycles(ProcId::new(0)), Cycles::new(100));
-        assert_eq!(trace.busy_cycles(ProcId::new(1)), Cycles::ZERO);
     }
 }

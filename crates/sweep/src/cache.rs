@@ -3,7 +3,7 @@
 //! Re-running a sweep after an edit that only touches part of the grid
 //! (a new seed, an appended utilization, a renamed knob) should not
 //! recompute the cells whose inputs did not change. The cache keys each
-//! completed cell by its [`cell_fingerprint`](crate::cell_fingerprint) —
+//! completed cell by its [`cell_fingerprint`] —
 //! a canonical digest of exactly the inputs that reach the simulation —
 //! and persists `(digest, schedulable, both stack results)` records in a
 //! cache directory that any later run, sharded or not, can hit.

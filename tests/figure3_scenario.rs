@@ -1,5 +1,6 @@
 //! Locks down the Figure 3 sample schedule: the exact Gantt rows for
-//! schedules A and B, and every behaviour the paper narrates about them.
+//! schedules A and B, drawn from the spans of a probed run, and every
+//! behaviour the paper narrates about them.
 
 use std::collections::BTreeMap;
 
@@ -9,8 +10,10 @@ use mpdp::core::priority::Priority;
 use mpdp::core::rta::build_task_table;
 use mpdp::core::task::{AperiodicTask, PeriodicTask, TaskTable};
 use mpdp::core::time::Cycles;
+use mpdp::obs::EventRecorder;
 use mpdp::sim::gantt::render_gantt;
-use mpdp::sim::theoretical::{run_theoretical, TheoreticalConfig};
+use mpdp::sim::theoretical::{run_theoretical_probed, SimOutcome, TheoreticalConfig};
+use mpdp_faults::CompiledFaults;
 
 const SLICE: Cycles = Cycles::new(100_000);
 
@@ -39,17 +42,26 @@ fn labels() -> BTreeMap<TaskId, char> {
     ])
 }
 
-fn config() -> TheoreticalConfig {
-    TheoreticalConfig::new(SLICE * 6)
+/// Runs the figure's task set over six slices under a recorder.
+fn run(table: TaskTable, arrivals: &[(Cycles, usize)]) -> (SimOutcome, EventRecorder) {
+    let config = TheoreticalConfig::new(SLICE * 6)
         .with_tick(SLICE)
-        .with_overhead(0.0)
-        .with_segments()
+        .with_overhead(0.0);
+    let recorder = EventRecorder::new(table.n_procs());
+    run_theoretical_probed(
+        MpdpPolicy::new(table),
+        arrivals,
+        config,
+        &CompiledFaults::none(),
+        recorder,
+    )
+    .unwrap()
 }
 
 #[test]
 fn schedule_a_matches_expected_gantt() {
-    let outcome = run_theoretical(MpdpPolicy::new(fig3_table()), &[], config()).unwrap();
-    let text = render_gantt(&outcome.trace, 2, SLICE * 6, SLICE, &labels());
+    let (outcome, rec) = run(fig3_table(), &[]);
+    let text = render_gantt(&rec, SLICE * 6, SLICE, &labels());
     let rows: Vec<&str> = text.lines().collect();
     assert!(rows[1].ends_with("113211"), "MB0 row: {text}");
     assert!(rows[2].ends_with("22··2·"), "MB1 row: {text}");
@@ -59,8 +71,8 @@ fn schedule_a_matches_expected_gantt() {
 #[test]
 fn schedule_b_matches_expected_gantt() {
     let arrivals = vec![(SLICE, 0usize), (SLICE * 2, 1usize)];
-    let outcome = run_theoretical(MpdpPolicy::new(fig3_table()), &arrivals, config()).unwrap();
-    let text = render_gantt(&outcome.trace, 2, SLICE * 6, SLICE, &labels());
+    let (outcome, rec) = run(fig3_table(), &arrivals);
+    let text = render_gantt(&rec, SLICE * 6, SLICE, &labels());
     let rows: Vec<&str> = text.lines().collect();
     assert!(rows[1].ends_with("1a1311"), "MB0 row: {text}");
     assert!(rows[2].ends_with("22ab22"), "MB1 row: {text}");
@@ -74,13 +86,13 @@ fn schedule_b_matches_expected_gantt() {
 /// `GOLDEN_UPDATE=1 cargo test -q fig3_gantt`.
 #[test]
 fn fig3_gantt_matches_golden_snapshot() {
-    let a = run_theoretical(MpdpPolicy::new(fig3_table()), &[], config()).unwrap();
+    let (_, a) = run(fig3_table(), &[]);
     let arrivals = vec![(SLICE, 0usize), (SLICE * 2, 1usize)];
-    let b = run_theoretical(MpdpPolicy::new(fig3_table()), &arrivals, config()).unwrap();
+    let (_, b) = run(fig3_table(), &arrivals);
     let rendered = format!(
         "== schedule A (no aperiodic arrivals) ==\n{}\n== schedule B (A1 at slice 1, A2 at slice 2) ==\n{}",
-        render_gantt(&a.trace, 2, SLICE * 6, SLICE, &labels()),
-        render_gantt(&b.trace, 2, SLICE * 6, SLICE, &labels()),
+        render_gantt(&a, SLICE * 6, SLICE, &labels()),
+        render_gantt(&b, SLICE * 6, SLICE, &labels()),
     );
     let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig3_gantt.txt");
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
@@ -97,29 +109,24 @@ fn fig3_gantt_matches_golden_snapshot() {
 #[test]
 fn narrative_a1_runs_immediately_then_yields_to_promoted_p1() {
     let arrivals = vec![(SLICE, 0usize), (SLICE * 2, 1usize)];
-    let outcome = run_theoretical(MpdpPolicy::new(fig3_table()), &arrivals, config()).unwrap();
-    // "Part of task A1 is executed as soon as it arrives": an A1 segment
+    let (outcome, rec) = run(fig3_table(), &arrivals);
+    // "Part of task A1 is executed as soon as it arrives": an A1 span
     // starts at slice 1.
-    let a1_segments: Vec<_> = outcome
-        .trace
-        .segments
-        .iter()
-        .filter(|s| s.task == Some(TaskId::new(3)))
-        .collect();
-    assert_eq!(a1_segments.first().map(|s| s.start), Some(SLICE));
+    let a1_spans: Vec<_> = rec.spans().iter().filter(|s| s.task == Some(3)).collect();
+    assert_eq!(a1_spans.first().map(|s| s.start), Some(SLICE));
     // "at timeslice 2, P1 gets promoted ... A1 is interrupted": the first A1
-    // segment ends at slice 2 and P1 runs on MB0 from slice 2.
-    assert_eq!(a1_segments[0].end, SLICE * 2);
-    assert!(outcome.trace.segments.iter().any(|s| {
-        s.task == Some(TaskId::new(0)) && s.proc == ProcId::new(0) && s.start == SLICE * 2
-    }));
-    // A1 resumes (on the other processor) and completes before A2 starts.
-    assert!(a1_segments.len() >= 2, "A1 must resume after preemption");
-    let a2_first = outcome
-        .trace
-        .segments
+    // span ends at slice 2 and P1 runs on MB0 from slice 2.
+    assert_eq!(a1_spans[0].end, SLICE * 2);
+    assert!(rec
+        .spans()
         .iter()
-        .find(|s| s.task == Some(TaskId::new(4)))
+        .any(|s| s.task == Some(0) && s.proc == 0 && s.start == SLICE * 2));
+    // A1 resumes (on the other processor) and completes before A2 starts.
+    assert!(a1_spans.len() >= 2, "A1 must resume after preemption");
+    let a2_first = rec
+        .spans()
+        .iter()
+        .find(|s| s.task == Some(4))
         .expect("A2 runs");
     let a1_done = outcome
         .trace
@@ -138,7 +145,7 @@ fn narrative_p2_is_promoted_to_meet_its_deadline() {
     // promoted": its promotion offset is one slice after release.
     let table = fig3_table();
     assert_eq!(table.promotion(1), SLICE);
-    let outcome = run_theoretical(MpdpPolicy::new(table), &[], config()).unwrap();
+    let (outcome, _) = run(table, &[]);
     let p2 = outcome
         .trace
         .completions_of(TaskId::new(1))

@@ -8,16 +8,20 @@
 //!    byte-stable across worker counts and pinned by a golden snapshot.
 //! 3. **Cycle conservation** — under random task sets *and* fault plans,
 //!    every ledger exactly partitions `horizon × n_procs` cycles.
+//! 4. **One record, two views** — a recorder's spans (what the Gantt chart
+//!    and the Chrome trace draw) and its ledger (what the gap attribution
+//!    sums) account for the same cycles on every processor.
 
 use proptest::prelude::*;
 
 use mpdp::core::policy::{DegradationPolicy, OverrunAction};
 use mpdp::core::time::Cycles;
-use mpdp::obs::{chrome_trace_json_multi, parse_json};
+use mpdp::obs::{chrome_trace_json_multi, parse_json, Bucket, EventRecorder, SpanKind};
 use mpdp::sweep::{
     cells_csv, report_json, run_cell_probed, run_sweep, ArrivalSpec, Knobs, SweepReport, SweepSpec,
     WorkloadSpec,
 };
+use mpdp_bench::{fault_matrix_spec, fig4_seeded_spec, ExperimentConfig};
 use mpdp_faults::{FailStop, FaultPlan, WcetOverrun};
 
 /// A small automotive grid: 2 cells, one aperiodic activation each.
@@ -98,6 +102,62 @@ fn perfetto_trace_is_byte_stable_across_worker_counts() {
         doc, golden,
         "Perfetto export drifted from tests/golden/trace_cell0.json \
          (bless intentional format changes with GOLDEN_UPDATE=1)"
+    );
+}
+
+/// Per-processor span cycles of `rec`, as `[task, scheduler + ISR, switch]`.
+fn span_cycles(rec: &EventRecorder) -> Vec<[u64; 3]> {
+    let mut cycles = vec![[0u64; 3]; rec.n_procs()];
+    for s in rec.spans() {
+        let class = match s.kind {
+            SpanKind::Task => 0,
+            SpanKind::Sched | SpanKind::Isr => 1,
+            SpanKind::Switch => 2,
+        };
+        cycles[s.proc as usize][class] += (s.end - s.start).as_u64();
+    }
+    cycles
+}
+
+/// The spans and the ledger of one recorder account for the same cycles,
+/// on both stacks of every Figure 4 cell (two seeds) and every fault-matrix
+/// cell: per processor, task spans equal `TaskWork + BusStall`, scheduler
+/// and ISR spans equal `Sched + Isr + Contention`, and switch spans equal
+/// `Switch`. The Gantt chart and the Chrome trace draw the spans; the gap
+/// attribution sums the ledger; this keeps the two from drifting apart.
+#[test]
+fn spans_and_ledger_account_for_the_same_cycles() {
+    let specs = [
+        fig4_seeded_spec(&ExperimentConfig::new(), 2),
+        fault_matrix_spec(vec![2, 3, 4], 2),
+    ];
+    let mut runs = 0;
+    for spec in &specs {
+        for cell in spec.cells() {
+            let (_, obs) = run_cell_probed(spec, &cell).unwrap();
+            for (rec, stack) in [(&obs.theoretical, "theoretical"), (&obs.real, "prototype")] {
+                let ledger = rec.ledger();
+                let sum = |p, buckets: &[Bucket]| buckets.iter().map(|&b| ledger.get(p, b)).sum();
+                for (p, spans) in span_cycles(rec).iter().enumerate() {
+                    let buckets = [
+                        sum(p, &[Bucket::TaskWork, Bucket::BusStall]),
+                        sum(p, &[Bucket::Sched, Bucket::Isr, Bucket::Contention]),
+                        sum(p, &[Bucket::Switch]),
+                    ];
+                    assert_eq!(
+                        spans, &buckets,
+                        "{stack} processor {p} of cell {}: spans [task, sched+isr, switch] \
+                         disagree with the ledger",
+                        cell.index
+                    );
+                }
+                runs += 1;
+            }
+        }
+    }
+    assert_eq!(
+        runs, 144,
+        "18 Figure 4 cells and 54 fault-matrix cells, two stacks each"
     );
 }
 

@@ -5,11 +5,14 @@
 use mpdp::analysis::tool::{prepare, ToolOptions};
 use mpdp::core::policy::MpdpPolicy;
 use mpdp::core::time::{Cycles, DEFAULT_TICK};
-use mpdp::sim::export::{completions_csv, segments_csv};
-use mpdp::sim::prototype::{run_prototype, PrototypeConfig, PrototypeSim};
-use mpdp::sim::stats::{miss_ratio, proc_breakdowns, response_stats};
-use mpdp::sim::SegmentKind;
+use mpdp::obs::{chrome_trace_json, Bucket, EventRecorder, SpanKind};
+use mpdp::sim::export::completions_csv;
+use mpdp::sim::prototype::{
+    run_prototype, run_prototype_probed, PrototypeConfig, PrototypeOutcome, PrototypeSim,
+};
+use mpdp::sim::stats::{miss_ratio, response_stats};
 use mpdp::workload::automotive_task_set;
+use mpdp_faults::CompiledFaults;
 
 fn table(n_procs: usize, utilization: f64) -> mpdp::core::task::TaskTable {
     let set = automotive_task_set(utilization, n_procs, DEFAULT_TICK);
@@ -22,6 +25,23 @@ fn table(n_procs: usize, utilization: f64) -> mpdp::core::task::TaskTable {
             .with_wcet_margin(1.15),
     )
     .expect("schedulable")
+}
+
+/// A fault-free prototype run over `table` under a recorder.
+fn probed(
+    table: mpdp::core::task::TaskTable,
+    arrivals: &[(Cycles, usize)],
+    horizon: Cycles,
+) -> (PrototypeOutcome, EventRecorder) {
+    let n_procs = table.n_procs();
+    run_prototype_probed(
+        MpdpPolicy::new(table),
+        arrivals,
+        PrototypeConfig::new(horizon),
+        &CompiledFaults::none(),
+        EventRecorder::new(n_procs),
+    )
+    .unwrap()
 }
 
 #[test]
@@ -84,12 +104,7 @@ fn intc_timeout_rotation_fires_when_ack_latency_exceeds_deadline() {
 fn statistics_describe_a_real_run() {
     let arrivals = vec![(Cycles::from_secs(1), 0usize)];
     let horizon = Cycles::from_secs(10);
-    let outcome = run_prototype(
-        MpdpPolicy::new(table(2, 0.5)),
-        &arrivals,
-        PrototypeConfig::new(horizon).with_segments(),
-    )
-    .unwrap();
+    let (outcome, rec) = probed(table(2, 0.5), &arrivals, horizon);
     let susan = mpdp::core::ids::TaskId::new(18);
     let stats = response_stats(&outcome.trace, susan).expect("susan completed");
     assert_eq!(stats.count, 1);
@@ -98,26 +113,44 @@ fn statistics_describe_a_real_run() {
 
     assert_eq!(miss_ratio(&outcome.trace), 0.0);
 
-    let breakdowns = proc_breakdowns(&outcome.trace, 2, horizon);
-    let total_task: u64 = breakdowns.iter().map(|b| b.task.as_u64()).sum();
+    // How each processor spent the window, from the cycle ledger: task
+    // time retires work or stalls on the bus, overhead is kernel bursts,
+    // lock waits and context moves.
+    let ledger = rec.ledger();
+    ledger
+        .check_conservation(horizon)
+        .expect("the ledger partitions the window");
+    let task = |p| ledger.get(p, Bucket::TaskWork) + ledger.get(p, Bucket::BusStall);
+    let total_task: u64 = (0..2).map(task).sum();
     // Two processors at ~50% periodic load plus susan: plenty of task time.
     assert!(
         total_task > horizon.as_u64() / 2,
         "task time {total_task} too small"
     );
-    for b in &breakdowns {
+    for p in 0..2 {
+        let overhead: u64 = [
+            Bucket::Sched,
+            Bucket::Isr,
+            Bucket::Contention,
+            Bucket::Switch,
+        ]
+        .into_iter()
+        .map(|b| ledger.get(p, b))
+        .sum();
         assert!(
-            b.overhead_fraction(horizon) < 0.05,
-            "overhead too high: {b:?}"
+            (overhead as f64) < 0.05 * horizon.as_u64() as f64,
+            "overhead too high on processor {p}: {overhead} cycles"
         );
-        let sum = b.task + b.kernel + b.switch + b.idle;
-        assert_eq!(sum, horizon, "breakdown must partition the window");
     }
     // All three activity kinds appear in a real run.
-    for kind in [SegmentKind::Task, SegmentKind::Kernel, SegmentKind::Switch] {
+    for kinds in [
+        &[SpanKind::Task][..],
+        &[SpanKind::Sched, SpanKind::Isr],
+        &[SpanKind::Switch],
+    ] {
         assert!(
-            outcome.trace.segments.iter().any(|s| s.kind == kind),
-            "missing {kind:?} segments"
+            rec.spans().iter().any(|s| kinds.contains(&s.kind)),
+            "missing {kinds:?} spans"
         );
     }
 }
@@ -125,12 +158,7 @@ fn statistics_describe_a_real_run() {
 #[test]
 fn csv_export_round_trips_counts() {
     let arrivals = vec![(Cycles::from_secs(1), 0usize)];
-    let outcome = run_prototype(
-        MpdpPolicy::new(table(2, 0.4)),
-        &arrivals,
-        PrototypeConfig::new(Cycles::from_secs(8)).with_segments(),
-    )
-    .unwrap();
+    let (outcome, rec) = probed(table(2, 0.4), &arrivals, Cycles::from_secs(8));
     let completions = completions_csv(&outcome.trace);
     assert_eq!(
         completions.trim_end().lines().count(),
@@ -139,12 +167,11 @@ fn csv_export_round_trips_counts() {
     );
     assert!(completions.contains("aperiodic"));
     assert!(completions.contains("periodic"));
-    let segments = segments_csv(&outcome.trace);
-    assert_eq!(
-        segments.trim_end().lines().count(),
-        outcome.trace.segments.len() + 1
-    );
-    assert!(segments.contains("switch"));
+    // Processor activity exports as the recorder's spans: one complete
+    // event per span.
+    let trace = chrome_trace_json(&rec, "prototype");
+    assert_eq!(trace.matches("\"ph\":\"X\"").count(), rec.spans().len());
+    assert!(trace.contains("ctx-switch"));
 }
 
 #[test]
