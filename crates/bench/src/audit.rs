@@ -156,13 +156,6 @@ impl SweepAudit {
         self.audits.iter().map(CellAudit::violation_count).sum()
     }
 
-    /// Cells whose oracle found the streams diverged.
-    pub fn disagreements(&self) -> impl Iterator<Item = &CellAudit> {
-        self.audits
-            .iter()
-            .filter(|a| a.oracle.as_ref().is_some_and(|o| !o.is_agreed()))
-    }
-
     /// One diagnostic line per dirty cell (empty when clean), suitable for
     /// stderr: the first violation of each stack and the first divergence.
     pub fn diagnostics(&self) -> Vec<String> {

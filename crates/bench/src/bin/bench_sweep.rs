@@ -9,9 +9,12 @@
 //! Each measurement is the **minimum** wall-clock over `--repeats` runs
 //! (minimum, not mean: noise on a shared machine only ever adds time, so
 //! the minimum is the most reproducible estimator of the true cost).
-//! `--gate` re-reads a previously written report and fails (exit 1) if any
-//! benchmark regressed by more than `--threshold` percent (default 15),
-//! which is what the CI perf smoke job runs against the committed baseline.
+//! `--gate` reads a previously written report before the run and fails
+//! (exit 1) if any benchmark regressed by more than `--threshold` percent
+//! (default 15), which is what the CI perf smoke job runs against the
+//! committed baseline. An entry whose name matches a bench of this run but
+//! whose `cells` or `workers` differ is refused (exit 2): its wall does not
+//! compare.
 
 use std::time::Instant;
 
@@ -20,7 +23,7 @@ use mpdp_bench::cli::{
     write_json_output,
 };
 use mpdp_bench::experiment::{bench104_spec, fig4_spec, ExperimentConfig};
-use mpdp_bench::load_baseline;
+use mpdp_bench::{load_baseline, SWEEP_SCHEMA};
 use mpdp_shard::{self_launcher, supervise, SuperviseConfig};
 use mpdp_sweep::{
     cells_csv, execute, run_sweep, CellCache, SweepError, SweepPlan, SweepReport, SweepSpec,
@@ -38,6 +41,11 @@ struct Bench {
 impl Bench {
     fn cells_per_s(&self) -> f64 {
         self.cells as f64 / (self.wall_ms / 1000.0)
+    }
+
+    /// The size a baseline entry of the same name must have measured.
+    fn size(&self) -> [u64; 2] {
+        [self.cells as u64, self.workers as u64]
     }
 }
 
@@ -201,7 +209,16 @@ fn main() {
     let quick = has_flag(&args, "--quick");
     let repeats: usize =
         parse_flag(&args, "--repeats", "a repeat count").unwrap_or(if quick { 1 } else { 3 });
-    let gate = flag_value(&args, "--gate");
+    // Load the baseline *before* the run writes `--out`, so gating against
+    // the file being refreshed compares with its committed numbers. A
+    // missing, truncated, or schema-drifted baseline, or an entry of a
+    // measured bench's name but another size, is a typed usage error (exit
+    // 2): the user named a file that is not a usable baseline, which is
+    // different from a real regression (exit 1).
+    let gate = flag_value(&args, "--gate").map(|path| match load_baseline(&path, SWEEP_SCHEMA) {
+        Ok(baseline) => baseline,
+        Err(e) => usage_error(e),
+    });
     let threshold: f64 = parse_flag(&args, "--threshold", "a percentage").unwrap_or(15.0);
     let shards: Option<usize> = parse_flag(&args, "--shards", "a shard count");
     if repeats == 0 {
@@ -295,27 +312,27 @@ fn main() {
     let doc = report_json(&benches);
     write_json_output(&out_path, "bench report JSON", &doc);
 
-    if let Some(baseline_path) = gate {
-        // A missing, truncated, or schema-drifted baseline is a typed
-        // usage error (exit 2): the user named a file that is not a
-        // usable baseline, which is different from a real regression
-        // (exit 1).
-        let baseline = match load_baseline(&baseline_path) {
-            Ok(baseline) => baseline,
-            Err(e) => usage_error(e),
-        };
+    if let Some(baseline) = gate {
+        let gated: Vec<(&Bench, f64)> = benches
+            .iter()
+            .filter_map(|b| match baseline.wall_ms(&b.name, b.size()) {
+                Ok(base_ms) => base_ms.map(|ms| (b, ms)),
+                Err(e) => usage_error(e),
+            })
+            .collect();
         let mut failed = false;
-        for (name, base_ms) in &baseline {
-            let Some(now) = benches.iter().find(|b| b.name == *name) else {
-                eprintln!("gate: `{name}` missing from this run (renamed?)");
+        for entry in &baseline.entries {
+            if !benches.iter().any(|b| b.name == entry.name) {
+                eprintln!("gate: `{}` missing from this run (renamed?)", entry.name);
                 failed = true;
-                continue;
-            };
+            }
+        }
+        for (now, base_ms) in gated {
             let delta_pct = 100.0 * (now.wall_ms / base_ms - 1.0);
             let verdict = if delta_pct > threshold { "FAIL" } else { "ok" };
             eprintln!(
-                "gate: {name:<20} {base_ms:>9.1} ms -> {:>9.1} ms  ({delta_pct:>+6.1}%)  {verdict}",
-                now.wall_ms
+                "gate: {:<20} {base_ms:>9.1} ms -> {:>9.1} ms  ({delta_pct:>+6.1}%)  {verdict}",
+                now.name, now.wall_ms
             );
             if delta_pct > threshold {
                 failed = true;
@@ -323,7 +340,8 @@ fn main() {
         }
         if failed {
             runtime_error(format_args!(
-                "perf gate: regression beyond {threshold}% against {baseline_path}"
+                "perf gate: regression beyond {threshold}% against {}",
+                baseline.path
             ));
         }
         eprintln!("perf gate clean (threshold {threshold}%)");

@@ -10,7 +10,10 @@
 //! closed-loop clients through a fixed request mix, and reports the
 //! **minimum** wall-clock plus latency quantiles into a schema-validated
 //! `mpdp-bench-serve/1` report; `--gate` fails (exit 1) on a wall-clock
-//! regression beyond `--threshold` percent, exactly like `bench_sweep`.
+//! regression beyond `--threshold` percent, exactly like `bench_sweep`, and
+//! refuses (exit 2) before anything runs a baseline entry of this run's
+//! name whose `clients` or total `requests` differ (`--quick` answers 200
+//! requests, the committed `serve_load_c4` 600).
 //!
 //! `--chaos` additionally runs the recovery scenario the daemon exists
 //! for: SIGKILL mid-load, relaunch on the same journal, assert **zero
@@ -26,12 +29,9 @@ use mpdp_bench::cli::{
     check_known_flags, flag_value, has_flag, parse_flag, runtime_error, usage_error,
     write_json_output,
 };
-use mpdp_bench::load_baseline_with_schema;
+use mpdp_bench::{load_baseline, SERVE_SCHEMA};
 use mpdp_mpdpd::Client;
 use mpdp_telemetry::Histogram;
-
-/// Schema marker of the report this binary writes and gates against.
-const SERVE_SCHEMA: &str = "mpdp-bench-serve/1";
 
 struct Daemon {
     child: Child,
@@ -338,9 +338,10 @@ fn report_json(clients: usize, requests: usize, best: &LoadResult) -> String {
     let answered = best.latency.count();
     let rps = answered as f64 / (best.wall_ms / 1000.0);
     format!(
-        "{{\n  \"schema\": \"{SERVE_SCHEMA}\",\n  \"benches\": [\n    \
+        "{{\n  \"schema\": \"{}\",\n  \"benches\": [\n    \
          {{\"name\": \"serve_load_c{clients}\", \"clients\": {clients}, \"requests\": {}, \
          \"wall_ms\": {:.3}, \"rps\": {:.1}, \"p50_us\": {}, \"p99_us\": {}}}\n  ]\n}}\n",
+        SERVE_SCHEMA.marker,
         clients * requests,
         best.wall_ms,
         rps,
@@ -385,7 +386,6 @@ fn main() {
         parse_flag(&args, "--repeats", "a repeat count").unwrap_or(if quick { 1 } else { 3 });
     let threshold: f64 = parse_flag(&args, "--threshold", "a percentage").unwrap_or(40.0);
     let seed: u64 = parse_flag(&args, "--seed", "a seed").unwrap_or(0);
-    let gate = flag_value(&args, "--gate");
     if clients == 0 || requests == 0 || repeats == 0 {
         usage_error("--clients, --requests, and --repeats must be positive");
     }
@@ -393,10 +393,17 @@ fn main() {
 
     // Load the baseline *before* the run writes `--out`: gating against the
     // committed baseline while refreshing it in place must compare against
-    // the committed numbers, not the ones this run just wrote.
-    let baseline = gate.as_ref().map(|baseline_path| {
-        match load_baseline_with_schema(baseline_path, SERVE_SCHEMA) {
+    // the committed numbers, not the ones this run just wrote. An entry of
+    // this run's name but another size is refused before anything runs.
+    let name = format!("serve_load_c{clients}");
+    let size = [clients as u64, (clients * requests) as u64];
+    let gate = flag_value(&args, "--gate").map(|path| {
+        let baseline = match load_baseline(&path, SERVE_SCHEMA) {
             Ok(baseline) => baseline,
+            Err(e) => usage_error(e),
+        };
+        match baseline.wall_ms(&name, size) {
+            Ok(base_ms) => (baseline, base_ms),
             Err(e) => usage_error(e),
         }
     });
@@ -430,27 +437,27 @@ fn main() {
     let doc = report_json(clients, requests, &best);
     write_json_output(&out_path, "serve report JSON", &doc);
 
-    if let (Some(baseline_path), Some(baseline)) = (gate, baseline) {
-        let name = format!("serve_load_c{clients}");
+    if let Some((baseline, base_ms)) = gate {
+        for entry in baseline.entries.iter().filter(|e| e.name != name) {
+            eprintln!(
+                "gate: `{}` not measured this run (different --clients?)",
+                entry.name
+            );
+        }
         let mut failed = false;
-        for (base_name, base_ms) in &baseline {
-            if base_name != &name {
-                eprintln!("gate: `{base_name}` not measured this run (different --clients?)");
-                continue;
-            }
+        if let Some(base_ms) = base_ms {
             let delta_pct = 100.0 * (best.wall_ms / base_ms - 1.0);
             let verdict = if delta_pct > threshold { "FAIL" } else { "ok" };
             eprintln!(
-                "gate: {base_name:<16} {base_ms:>9.1} ms -> {:>9.1} ms  ({delta_pct:>+6.1}%)  {verdict}",
+                "gate: {name:<16} {base_ms:>9.1} ms -> {:>9.1} ms  ({delta_pct:>+6.1}%)  {verdict}",
                 best.wall_ms
             );
-            if delta_pct > threshold {
-                failed = true;
-            }
+            failed = delta_pct > threshold;
         }
         if failed {
             runtime_error(format_args!(
-                "perf gate: regression beyond {threshold}% against {baseline_path}"
+                "perf gate: regression beyond {threshold}% against {}",
+                baseline.path
             ));
         }
         eprintln!("perf gate clean (threshold {threshold}%)");

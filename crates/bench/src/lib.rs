@@ -26,7 +26,9 @@ pub use audit::{
     audit_cell, audit_sweep, knob_is_fault_free, prototype_config, theoretical_config, CellAudit,
     SweepAudit,
 };
-pub use baseline::{load_baseline, load_baseline_with_schema, BaselineError, BASELINE_SCHEMA};
+pub use baseline::{
+    load_baseline, Baseline, BaselineEntry, BaselineError, BenchSchema, SERVE_SCHEMA, SWEEP_SCHEMA,
+};
 pub use experiment::{
     fig4_point, fig4_report, fig4_seeded_spec, fig4_spec, fig4_sweep, knobs_of, point_from_cell,
     ExperimentConfig, Fig4Point,

@@ -811,12 +811,6 @@ impl MpdpPolicy {
         self.alive.iter().filter(|&&a| a).count()
     }
 
-    /// Whether the current (possibly degraded) analysis still guarantees
-    /// periodic task `i`.
-    pub fn task_guaranteed(&self, i: usize) -> bool {
-        self.guaranteed[i]
-    }
-
     /// `(guaranteed, total)` periodic tasks under the current analysis.
     pub fn guaranteed_tasks(&self) -> (usize, usize) {
         (

@@ -75,11 +75,6 @@ impl DirectMappedCache {
         }
     }
 
-    /// Capacity in words.
-    pub fn capacity_words(&self) -> usize {
-        self.tags.len() * self.line_words
-    }
-
     /// Performs one access; returns `true` on a hit and updates the line on
     /// a miss (allocate-on-miss, as the MicroBlaze I-cache does).
     pub fn access(&mut self, word_addr: u64) -> bool {

@@ -50,10 +50,6 @@ use std::collections::VecDeque;
 use mpdp_core::ids::{PeripheralId, ProcId};
 use mpdp_core::time::Cycles;
 
-/// Cycles per controller register access (configuration, acknowledge, end of
-/// interrupt), charged by the kernel on top of the mutual-exclusion cost.
-pub const REGISTER_ACCESS_CYCLES: u32 = 6;
-
 /// What raised an interrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InterruptSource {
@@ -137,17 +133,6 @@ pub struct IntcStats {
     /// Total cycles between line-raise and acknowledge, summed over all
     /// acknowledged interrupts.
     pub total_ack_latency: u64,
-}
-
-impl IntcStats {
-    /// Mean cycles from line-raise to acknowledge.
-    pub fn mean_ack_latency(&self) -> f64 {
-        if self.acknowledged == 0 {
-            0.0
-        } else {
-            self.total_ack_latency as f64 / self.acknowledged as f64
-        }
-    }
 }
 
 /// The multiprocessor interrupt controller.

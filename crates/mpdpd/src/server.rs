@@ -1,6 +1,16 @@
 //! The daemon proper: listener, bounded request queue, worker pool, the
 //! two-band shedding policy, per-request deadlines, and graceful drain.
 //!
+//! A request runs on the reader thread that parsed it when it is the only
+//! complete line its connection has sent, no request is queued, and fewer
+//! than `workers` requests are executing: a client with one request in
+//! flight on an idle daemon pays no hand-off to another thread. Every
+//! other request waits in the bounded queue for a worker, so pipelined
+//! lines keep their `workers`-way parallelism and nothing overtakes a
+//! queued request. `workers` bounds the requests executing at once on both
+//! paths. Each of these decisions is one method of the `Queue` behind
+//! the daemon's queue lock.
+//!
 //! The service plane mirrors the paper's dual-priority scheduler. Session
 //! mutations (`open`/`admit`/`close`) are the *guaranteed* band: under
 //! overload they may evict queued best-effort work but are never shed
@@ -21,10 +31,10 @@
 //!
 //! Shutdown is cooperative: when the drain file appears (the `mpdpd`
 //! binary's SIGTERM trampoline touches it), the listener stops accepting,
-//! readers stop pulling new lines, workers answer everything already
-//! queued, the journal is already on disk (every answered mutation waited
-//! for its fsync), and [`run`] returns a [`DrainSummary`] so the binary
-//! can exit 0.
+//! readers finish the request they run and stop pulling new lines,
+//! workers answer everything already queued, the journal is already on
+//! disk (every answered mutation waited for its fsync), and [`run`]
+//! returns a [`DrainSummary`] so the binary can exit 0.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -32,7 +42,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mpdp_analysis::is_schedulable_at;
@@ -64,7 +74,9 @@ pub struct ServerConfig {
     pub journal: PathBuf,
     /// Bounded queue capacity; beyond it the shedding policy applies.
     pub queue_cap: usize,
-    /// Worker threads answering requests.
+    /// The bound on requests executing at once, on reader and worker
+    /// threads together. It is also the number of worker threads, which
+    /// run the requests that had to wait in the queue.
     pub workers: usize,
     /// Deadline applied to requests that do not carry `deadline_ms`.
     pub default_deadline: Duration,
@@ -108,8 +120,115 @@ type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 struct Job {
     envelope: Envelope,
     writer: SharedWriter,
-    enqueued: Instant,
+    /// When the request was parsed; its deadline runs from here.
+    received: Instant,
     deadline: Duration,
+}
+
+/// The bounded request queue and the count of executing requests, under
+/// one lock. Every decision on where a request runs is a method here.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Requests executing, on reader and worker threads alike.
+    running: usize,
+    /// Capacity of `jobs`; beyond it the two-band rule applies.
+    cap: usize,
+    /// The bound on `running`.
+    workers: usize,
+}
+
+/// What [`Queue::offer`] did with a request.
+enum Offer {
+    /// Queued; `depth` is the queue's length after it.
+    Queued { depth: usize },
+    /// Queued in place of `victim`, the oldest queued best-effort request.
+    Evicted { victim: Job, depth: usize },
+    /// A best-effort request refused by a full queue.
+    Shed(Job),
+    /// A guaranteed request refused by a queue full of guaranteed ones.
+    Rejected(Job),
+}
+
+impl Queue {
+    fn new(cap: usize, workers: usize) -> Queue {
+        Queue {
+            jobs: VecDeque::new(),
+            running: 0,
+            cap,
+            workers,
+        }
+    }
+
+    /// Claims a slot for a request its reader may run at once: it is the
+    /// only complete line its connection has sent (`lone`), no request is
+    /// queued, and fewer than `workers` requests are executing.
+    fn claim(&mut self, lone: bool) -> bool {
+        let free = lone && self.jobs.is_empty() && self.running < self.workers;
+        self.running += usize::from(free);
+        free
+    }
+
+    /// The two-band backpressure policy at the queue boundary.
+    fn offer(&mut self, job: Job) -> Offer {
+        if self.jobs.len() < self.cap {
+            self.jobs.push_back(job);
+            return Offer::Queued {
+                depth: self.jobs.len(),
+            };
+        }
+        if !job.envelope.request.guaranteed() {
+            return Offer::Shed(job);
+        }
+        // Guaranteed request against a full queue: shed the oldest
+        // queued best-effort entry to make room — the service-level
+        // mirror of an aperiodic task yielding to the periodic band.
+        let victim = self
+            .jobs
+            .iter()
+            .position(|j| !j.envelope.request.guaranteed())
+            .and_then(|pos| self.jobs.remove(pos));
+        match victim {
+            Some(victim) => {
+                self.jobs.push_back(job);
+                Offer::Evicted {
+                    victim,
+                    depth: self.jobs.len(),
+                }
+            }
+            // Entirely guaranteed backlog: honest backpressure.
+            None => Offer::Rejected(job),
+        }
+    }
+
+    /// The oldest queued request, with a slot to run it in, if one is free.
+    fn take(&mut self) -> Option<Job> {
+        if self.running >= self.workers {
+            return None;
+        }
+        let job = self.jobs.pop_front()?;
+        self.running += 1;
+        Some(job)
+    }
+
+    /// Frees a slot; returns whether a queued request can now take it.
+    /// A [`Slot`] calls it from `drop`, which must not panic.
+    fn release(&mut self) -> bool {
+        self.running = self.running.saturating_sub(1);
+        !self.jobs.is_empty()
+    }
+}
+
+/// The slot of the request executing on this thread. Dropping it, on
+/// return or while unwinding from a panic, frees the slot and wakes a
+/// worker if a queued request can take it.
+struct Slot<'a>(&'a Daemon);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        if self.0.queue().release() {
+            self.0.queue_cv.notify_one();
+        }
+    }
 }
 
 struct Daemon {
@@ -118,7 +237,7 @@ struct Daemon {
     journal: Arc<LineJournal>,
     cache: TableCache,
     metrics: ServeMetrics,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     queue_cv: Condvar,
     draining: AtomicBool,
     /// Set once every reader thread has taken its final pass; workers must
@@ -126,7 +245,6 @@ struct Daemon {
     /// read during the drain window would go unanswered.
     readers_done: AtomicBool,
     drained_answered: AtomicUsize,
-    queue_cap: usize,
     default_deadline: Duration,
 }
 
@@ -148,7 +266,16 @@ fn render(id: u64, result: OpResult) -> String {
 }
 
 impl Daemon {
-    fn handle_line(self: &Arc<Self>, line: &str, writer: &SharedWriter) {
+    /// The queue. Its methods leave it consistent at every return, so a
+    /// lock poisoned by a panic elsewhere is still safe to use, and a
+    /// [`Slot`] dropped while unwinding must be able to take it.
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parses one line and runs it here if [`Queue::claim`] allows (`lone`
+    /// says no other complete line follows it), or offers it to the queue.
+    fn handle_line(&self, line: &str, writer: &SharedWriter, lone: bool) {
         let envelope = match parse_request(line) {
             Ok(env) => env,
             Err((id, kind, detail)) => {
@@ -161,40 +288,31 @@ impl Daemon {
             .deadline_ms
             .map(Duration::from_millis)
             .unwrap_or(self.default_deadline);
-        self.enqueue(Job {
+        let job = Job {
             envelope,
             writer: Arc::clone(writer),
-            enqueued: Instant::now(),
+            received: Instant::now(),
             deadline,
-        });
+        };
+        let claimed = self.queue().claim(lone);
+        if claimed {
+            let _slot = Slot(self);
+            self.execute(job);
+        } else {
+            self.enqueue(job);
+        }
     }
 
-    /// The two-band backpressure policy at the queue boundary.
+    /// Queues a request that cannot run at once, or answers it
+    /// `overloaded` under the two-band rule.
     fn enqueue(&self, job: Job) {
-        let guaranteed = job.envelope.request.guaranteed();
-        let mut q = self.queue.lock().expect("queue lock");
-        if q.len() >= self.queue_cap {
-            if !guaranteed {
-                drop(q);
-                self.metrics.event(&ServeEvent::ShedBestEffort);
-                respond(
-                    &job.writer,
-                    error_response(
-                        job.envelope.id,
-                        ErrorKind::Overloaded,
-                        "queue full; best-effort request shed",
-                    ),
-                );
-                return;
+        let offer = self.queue().offer(job);
+        match offer {
+            Offer::Queued { depth } => {
+                self.queue_cv.notify_one();
+                self.metrics.event(&ServeEvent::Enqueued { depth });
             }
-            // Guaranteed request against a full queue: shed the oldest
-            // queued best-effort entry to make room — the service-level
-            // mirror of an aperiodic task yielding to the periodic band.
-            if let Some(pos) = q.iter().position(|j| !j.envelope.request.guaranteed()) {
-                let victim = q.remove(pos).expect("position is in range");
-                q.push_back(job);
-                let depth = q.len();
-                drop(q);
+            Offer::Evicted { victim, depth } => {
                 self.queue_cv.notify_one();
                 self.metrics.event(&ServeEvent::ShedBestEffort);
                 respond(
@@ -206,57 +324,65 @@ impl Daemon {
                     ),
                 );
                 self.metrics.event(&ServeEvent::Enqueued { depth });
-                return;
             }
-            // Entirely guaranteed backlog: honest backpressure.
-            drop(q);
-            self.metrics.event(&ServeEvent::RejectedGuaranteed);
-            respond(
-                &job.writer,
-                error_response(
-                    job.envelope.id,
-                    ErrorKind::Overloaded,
-                    "queue full of guaranteed requests; retry",
-                ),
-            );
-            return;
+            Offer::Shed(job) => {
+                self.metrics.event(&ServeEvent::ShedBestEffort);
+                respond(
+                    &job.writer,
+                    error_response(
+                        job.envelope.id,
+                        ErrorKind::Overloaded,
+                        "queue full; best-effort request shed",
+                    ),
+                );
+            }
+            Offer::Rejected(job) => {
+                self.metrics.event(&ServeEvent::RejectedGuaranteed);
+                respond(
+                    &job.writer,
+                    error_response(
+                        job.envelope.id,
+                        ErrorKind::Overloaded,
+                        "queue full of guaranteed requests; retry",
+                    ),
+                );
+            }
         }
-        q.push_back(job);
-        let depth = q.len();
-        drop(q);
-        self.queue_cv.notify_one();
-        self.metrics.event(&ServeEvent::Enqueued { depth });
     }
 
-    fn worker_loop(self: &Arc<Self>) {
-        loop {
-            let job = {
-                let mut q = self.queue.lock().expect("queue lock");
-                loop {
-                    if let Some(j) = q.pop_front() {
-                        break Some(j);
-                    }
-                    if self.draining.load(Ordering::Acquire)
-                        && self.readers_done.load(Ordering::Acquire)
-                    {
-                        break None;
-                    }
-                    let (guard, _) = self
-                        .queue_cv
-                        .wait_timeout(q, Duration::from_millis(50))
-                        .expect("queue lock");
-                    q = guard;
-                }
-            };
-            let Some(job) = job else { break };
+    fn worker_loop(&self) {
+        while let Some(job) = self.next_job() {
+            let _slot = Slot(self);
             self.execute(job);
+        }
+    }
+
+    /// Waits for a queued request and a free slot to run it in; `None`
+    /// once the drain has left nothing to answer.
+    fn next_job(&self) -> Option<Job> {
+        let mut q = self.queue();
+        loop {
+            if let Some(job) = q.take() {
+                return Some(job);
+            }
+            if q.jobs.is_empty()
+                && self.draining.load(Ordering::Acquire)
+                && self.readers_done.load(Ordering::Acquire)
+            {
+                return None;
+            }
+            q = self
+                .queue_cv
+                .wait_timeout(q, Duration::from_millis(50))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
     fn execute(&self, job: Job) {
         let endpoint = job.envelope.request.endpoint();
         let id = job.envelope.id;
-        if job.enqueued.elapsed() > job.deadline {
+        if job.received.elapsed() > job.deadline {
             self.metrics.event(&ServeEvent::TimedOut { endpoint });
             respond(
                 &job.writer,
@@ -275,7 +401,7 @@ impl Daemon {
         respond(&job.writer, response);
         self.metrics.event(&ServeEvent::Completed {
             endpoint,
-            wall: job.enqueued.elapsed(),
+            wall: job.received.elapsed(),
         });
         if self.draining.load(Ordering::Acquire) {
             self.drained_answered.fetch_add(1, Ordering::Relaxed);
@@ -496,10 +622,11 @@ fn reader_loop(daemon: Arc<Daemon>, mut src: Box<dyn Read + Send>, writer: Share
     loop {
         while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
             let raw: Vec<u8> = pending.drain(..=pos).collect();
+            let lone = !pending.contains(&b'\n');
             let line = String::from_utf8_lossy(&raw[..raw.len() - 1]).into_owned();
             let line = line.trim();
             if !line.is_empty() {
-                daemon.handle_line(line, &writer);
+                daemon.handle_line(line, &writer, lone);
             }
         }
         if daemon.draining.load(Ordering::Acquire) {
@@ -544,12 +671,11 @@ pub fn run(cfg: ServerConfig) -> Result<DrainSummary, String> {
         journal,
         cache: TableCache::new(),
         metrics: ServeMetrics::new(),
-        queue: Mutex::new(VecDeque::new()),
+        queue: Mutex::new(Queue::new(cfg.queue_cap.max(1), cfg.workers.max(1))),
         queue_cv: Condvar::new(),
         draining: AtomicBool::new(false),
         readers_done: AtomicBool::new(false),
         drained_answered: AtomicUsize::new(0),
-        queue_cap: cfg.queue_cap.max(1),
         default_deadline: cfg.default_deadline,
     });
     for _ in 0..rebuilt {
@@ -616,4 +742,150 @@ pub fn run(cfg: ServerConfig) -> Result<DrainSummary, String> {
         sessions,
         rebuilt,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `close` (guaranteed) or a `ping` (best-effort) whose reply goes
+    /// to a `Vec<u8>`.
+    fn job(id: u64, guaranteed: bool) -> Job {
+        let line = if guaranteed {
+            format!(r#"{{"op":"close","id":{id},"session":"s"}}"#)
+        } else {
+            format!(r#"{{"op":"ping","id":{id}}}"#)
+        };
+        Job {
+            envelope: parse_request(&line).expect("a valid request"),
+            writer: Arc::new(Mutex::new(Box::new(Vec::<u8>::new()))),
+            received: Instant::now(),
+            deadline: Duration::from_secs(1),
+        }
+    }
+
+    fn ids(q: &Queue) -> Vec<u64> {
+        q.jobs.iter().map(|j| j.envelope.id).collect()
+    }
+
+    #[test]
+    fn a_lone_request_on_an_idle_queue_runs_at_once() {
+        let mut q = Queue::new(4, 2);
+        assert!(q.claim(true));
+        assert!(q.claim(true));
+        assert_eq!(q.running, 2);
+        // Every slot is taken: the third lone request must wait.
+        assert!(!q.claim(true));
+        assert_eq!(q.running, 2);
+        assert!(!q.release(), "nothing is queued");
+        assert!(q.claim(true));
+    }
+
+    #[test]
+    fn a_request_with_lines_behind_it_is_queued() {
+        let mut q = Queue::new(4, 2);
+        assert!(!q.claim(false));
+        assert_eq!(q.running, 0);
+        assert!(matches!(q.offer(job(1, false)), Offer::Queued { depth: 1 }));
+        assert_eq!(q.take().map(|j| j.envelope.id), Some(1));
+        assert_eq!(q.running, 1);
+    }
+
+    #[test]
+    fn nothing_overtakes_a_queued_request() {
+        let mut q = Queue::new(4, 2);
+        assert!(matches!(q.offer(job(1, false)), Offer::Queued { depth: 1 }));
+        // A slot is free, but a lone request may not pass the queued one.
+        assert!(!q.claim(true));
+        assert_eq!(q.running, 0);
+        assert_eq!(q.take().map(|j| j.envelope.id), Some(1));
+        assert!(q.claim(true));
+
+        // With every slot held, queued requests leave in arrival order as
+        // slots free, and a release reports that they are waiting.
+        assert!(matches!(q.offer(job(2, true)), Offer::Queued { depth: 1 }));
+        assert!(matches!(q.offer(job(3, false)), Offer::Queued { depth: 2 }));
+        assert!(q.take().is_none());
+        assert!(q.release());
+        assert!(!q.claim(true));
+        assert_eq!(q.take().map(|j| j.envelope.id), Some(2));
+        assert!(q.take().is_none());
+        assert!(q.release());
+        assert_eq!(q.take().map(|j| j.envelope.id), Some(3));
+    }
+
+    #[test]
+    fn running_never_exceeds_workers() {
+        // Every sequence of 7 steps over claim (lone or not), offer, take
+        // and release, against a model count of the slots held.
+        const STEPS: u32 = 7;
+        const OPS: usize = 5;
+        for workers in 1..=2 {
+            for mut code in 0..OPS.pow(STEPS) {
+                let mut q = Queue::new(2, workers);
+                let mut held = 0;
+                let mut next_id = 0;
+                for _ in 0..STEPS {
+                    let (op, rest) = (code % OPS, code / OPS);
+                    code = rest;
+                    match op {
+                        0 | 1 => {
+                            let lone = op == 0;
+                            let idle = q.jobs.is_empty() && held < workers;
+                            let claimed = q.claim(lone);
+                            assert_eq!(claimed, lone && idle);
+                            held += usize::from(claimed);
+                        }
+                        2 => {
+                            next_id += 1;
+                            let _ = q.offer(job(next_id, next_id % 2 == 0));
+                            assert!(q.jobs.len() <= q.cap);
+                        }
+                        3 => {
+                            let queued = q.jobs.len();
+                            let taken = q.take().is_some();
+                            assert_eq!(taken, queued > 0 && held < workers);
+                            held += usize::from(taken);
+                        }
+                        _ => {
+                            if held > 0 {
+                                assert_eq!(q.release(), !q.jobs.is_empty());
+                                held -= 1;
+                            }
+                        }
+                    }
+                    assert_eq!(q.running, held);
+                    assert!(q.running <= workers);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_queue_sheds_evicts_and_rejects() {
+        let mut q = Queue::new(2, 1);
+        assert!(matches!(q.offer(job(1, false)), Offer::Queued { depth: 1 }));
+        assert!(matches!(q.offer(job(2, true)), Offer::Queued { depth: 2 }));
+        // Full: a best-effort request is shed itself.
+        match q.offer(job(3, false)) {
+            Offer::Shed(j) => assert_eq!(j.envelope.id, 3),
+            _ => panic!("a best-effort request at a full queue is shed"),
+        }
+        // A guaranteed one evicts the oldest queued best-effort request.
+        match q.offer(job(4, true)) {
+            Offer::Evicted { victim, depth } => {
+                assert_eq!((victim.envelope.id, depth), (1, 2));
+            }
+            _ => panic!("a guaranteed request evicts best-effort work"),
+        }
+        assert_eq!(ids(&q), [2, 4]);
+        // Wall-to-wall guaranteed: honest backpressure, queue untouched.
+        match q.offer(job(5, true)) {
+            Offer::Rejected(j) => assert_eq!(j.envelope.id, 5),
+            _ => panic!("a guaranteed backlog rejects a guaranteed request"),
+        }
+        assert!(matches!(q.offer(job(6, false)), Offer::Shed(_)));
+        assert_eq!(ids(&q), [2, 4]);
+        assert_eq!(q.running, 0, "offers never claim a slot");
+    }
 }

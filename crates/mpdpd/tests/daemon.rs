@@ -1,7 +1,8 @@
 //! End-to-end tests against the real `mpdpd` binary: protocol round
 //! trips, SIGKILL crash recovery (also mid-stream under group commit),
-//! journal poisoning by a real write failure, overload shedding, typed
-//! timeouts, and the SIGTERM graceful drain through the sh trampoline.
+//! journal poisoning by a real write failure, overload shedding, where a
+//! request runs (its reader or a worker), typed timeouts, and the SIGTERM
+//! graceful drain through the sh trampoline.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -531,6 +532,47 @@ fn field(stats: &str, name: &str) -> u64 {
         }
     }
     panic!("counter {name} not in {stats}");
+}
+
+#[test]
+fn a_lone_request_runs_on_its_reader_and_a_pipelined_batch_waits() {
+    let d = Daemon::spawn_inner("inline", &[]);
+    let mut c = d.connect();
+    // One request in flight at a time on an idle daemon: none waits.
+    for id in 0..20 {
+        let pong = c
+            .call(&format!(r#"{{"op":"ping","id":{id}}}"#))
+            .expect("ping");
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+    }
+    let stats = c.call(r#"{"op":"stats","id":20}"#).expect("stats");
+    assert!(field(&stats, "completed") >= 20, "{stats}");
+    assert_eq!(field(&stats, "enqueued"), 0, "{stats}");
+
+    // Ten lines in one write: the ones with lines behind them go through
+    // the queue to the workers, and every one is answered.
+    let mut batch = UnixStream::connect(&d.socket).expect("connect");
+    batch
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let lines: String = (100..110)
+        .map(|id| format!("{{\"op\":\"ping\",\"id\":{id}}}\n"))
+        .collect();
+    batch.write_all(lines.as_bytes()).expect("write batch");
+    let mut replies = BufReader::new(batch);
+    let mut answered: Vec<u64> = (0..10)
+        .map(|_| {
+            let mut reply = String::new();
+            replies.read_line(&mut reply).expect("batch reply");
+            assert!(reply.contains("\"pong\":true"), "{reply}");
+            field(&reply, "id")
+        })
+        .collect();
+    answered.sort_unstable();
+    assert_eq!(answered, (100..110).collect::<Vec<u64>>());
+    let stats = c.call(r#"{"op":"stats","id":21}"#).expect("stats");
+    assert!(field(&stats, "enqueued") >= 1, "{stats}");
+    d.cleanup();
 }
 
 #[test]

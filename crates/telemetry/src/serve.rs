@@ -98,11 +98,12 @@ pub enum ServeEvent {
         /// Queue depth after this enqueue.
         depth: usize,
     },
-    /// A request was answered; `wall` spans enqueue to response write.
+    /// A request was answered; `wall` spans its parse to its response
+    /// write.
     Completed {
         /// Which endpoint answered.
         endpoint: ServeEndpoint,
-        /// Enqueue-to-response latency.
+        /// Parse-to-response latency.
         wall: Duration,
     },
     /// A request missed its deadline in the queue and was answered with
@@ -137,7 +138,8 @@ pub enum ServeEvent {
 /// max), so per-run snapshots fold together exactly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeSnapshot {
-    /// Requests accepted into the queue.
+    /// Requests accepted into the queue. A request the daemon ran on the
+    /// reader thread that parsed it never waited and is not counted.
     pub enqueued: u64,
     /// Requests answered successfully.
     pub completed: u64,
@@ -162,9 +164,10 @@ pub struct ServeSnapshot {
     pub drains: u64,
     /// Requests answered during drains.
     pub drained_answered: u64,
-    /// High-water mark of the bounded request queue.
+    /// High-water mark of the bounded request queue, which holds only the
+    /// requests that waited.
     pub queue_depth_peak: u64,
-    /// Enqueue-to-response latency per endpoint, indexed like
+    /// Parse-to-response latency per endpoint, indexed like
     /// [`ServeEndpoint::ALL`].
     pub latency_us: [Histogram; 6],
 }
