@@ -253,18 +253,6 @@ pub fn fig4_report(config: &ExperimentConfig, workers: usize) -> SweepReport {
     run_sweep(&fig4_spec(config), workers).expect("the Figure 4 spec is valid")
 }
 
-/// The full Figure 4 sweep: 2–4 processors × 40/50/60% utilization,
-/// parallelized over the machine's cores (deterministic regardless — see
-/// the `mpdp_sweep` determinism contract).
-pub fn fig4_sweep(config: &ExperimentConfig) -> Vec<Fig4Point> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    fig4_report(config, workers)
-        .cells
-        .iter()
-        .map(point_from_cell)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

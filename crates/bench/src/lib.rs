@@ -30,7 +30,7 @@ pub use baseline::{
     load_baseline, Baseline, BaselineEntry, BaselineError, BenchSchema, SERVE_SCHEMA, SWEEP_SCHEMA,
 };
 pub use experiment::{
-    fig4_point, fig4_report, fig4_seeded_spec, fig4_spec, fig4_sweep, knobs_of, point_from_cell,
+    fig4_point, fig4_report, fig4_seeded_spec, fig4_spec, knobs_of, point_from_cell,
     ExperimentConfig, Fig4Point,
 };
 pub use faultmatrix::{fault_matrix_spec, INTENSITIES};

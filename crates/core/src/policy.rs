@@ -767,16 +767,25 @@ impl MpdpPolicy {
     }
 
     /// The Aperiodic Ready Queue (middle band), read-only.
+    ///
+    /// Kept for `prop_policy::primitives_match_references`, whose
+    /// reference assignment reads the three bands directly.
     pub fn aperiodic_queue(&self) -> &AperiodicReadyQueue {
         &self.arq
     }
 
     /// The Periodic Ready Queue (lower band), read-only.
+    ///
+    /// Kept for `prop_policy::primitives_match_references` (see
+    /// [`MpdpPolicy::aperiodic_queue`]).
     pub fn periodic_queue(&self) -> &PeriodicReadyQueue {
         &self.prq
     }
 
     /// `proc`'s High Priority Local Ready Queue (upper band), read-only.
+    ///
+    /// Kept for `prop_policy::primitives_match_references` (see
+    /// [`MpdpPolicy::aperiodic_queue`]).
     pub fn local_queue(&self, proc: ProcId) -> &HighPrioLocalQueue {
         &self.hplrq[proc.index()]
     }
@@ -1036,7 +1045,9 @@ impl MpdpPolicy {
         }
     }
 
-    /// Checks internal invariants; used by tests and debug assertions.
+    /// Checks internal invariants. Kept as the oracle of
+    /// `prop_policy::invariants_under_random_interleavings` and of this
+    /// module's unit tests, which call it after every step.
     ///
     /// # Panics
     ///

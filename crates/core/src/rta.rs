@@ -167,8 +167,9 @@ pub fn build_task_table(
 /// A quick sufficient check: the Liu & Layland rate-monotonic bound
 /// `Σ C/T ≤ n(2^{1/n} − 1)` for the tasks assigned to one processor.
 ///
-/// Exact schedulability is decided by [`analyze`]; this bound is exposed for
-/// the partitioning heuristics that want a cheap admission filter.
+/// Exact schedulability is decided by [`analyze`]. Kept for
+/// `prop_rta::liu_layland_sets_pass`, which checks that every set under
+/// this bound passes the exact test.
 pub fn liu_layland_bound(n_tasks: usize) -> f64 {
     if n_tasks == 0 {
         return 1.0;

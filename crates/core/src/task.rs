@@ -442,16 +442,6 @@ impl TaskTable {
         self.n_procs
     }
 
-    /// Index of a periodic task in this table by id, if present.
-    pub fn periodic_index(&self, id: TaskId) -> Option<usize> {
-        self.periodic.iter().position(|t| t.id == id)
-    }
-
-    /// Index of an aperiodic task in this table by id, if present.
-    pub fn aperiodic_index(&self, id: TaskId) -> Option<usize> {
-        self.aperiodic.iter().position(|t| t.id == id)
-    }
-
     /// Total periodic utilization `Σ C_i/T_i` (NOT divided by the processor
     /// count; divide by [`TaskTable::n_procs`] for the system utilization the
     /// paper quotes).
@@ -529,8 +519,6 @@ mod tests {
         assert_eq!(table.aperiodic().len(), 1);
         assert_eq!(table.promotion(1), Cycles::new(150));
         assert!((table.total_utilization() - 0.2).abs() < 1e-12);
-        assert_eq!(table.periodic_index(TaskId::new(1)), Some(1));
-        assert_eq!(table.aperiodic_index(TaskId::new(2)), Some(0));
     }
 
     #[test]

@@ -137,7 +137,8 @@ impl ExploreModel {
     }
 
     /// Upper bound on decision-vector leaves (before tie permutations and
-    /// dedup): `choices_per_slot ^ slots`.
+    /// dedup): `choices_per_slot ^ slots`. Kept for
+    /// `models_are_small_and_guaranteed`, which bounds every model with it.
     pub fn leaf_bound(&self) -> u64 {
         (self.choices_per_slot() as u64).pow(self.slots.len() as u32)
     }

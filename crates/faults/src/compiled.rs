@@ -149,14 +149,6 @@ impl CompiledFaults {
             .filter(|&edge| edge > now)
             .min()
     }
-
-    /// Next spurious timer raise strictly after `now`.
-    pub fn next_spurious(&self, now: Cycles) -> Option<Cycles> {
-        if self.empty {
-            return None;
-        }
-        self.interrupts.spurious.iter().copied().find(|&t| t > now)
-    }
 }
 
 #[cfg(test)]
@@ -239,11 +231,6 @@ mod tests {
             Some(Cycles::from_secs(3))
         );
         assert_eq!(c.next_bus_edge(Cycles::from_secs(3)), None);
-        assert_eq!(c.next_spurious(Cycles::ZERO), Some(Cycles::from_secs(1)));
-        assert_eq!(
-            c.next_spurious(Cycles::from_secs(1)),
-            Some(Cycles::from_secs(4))
-        );
     }
 
     #[test]
@@ -256,6 +243,6 @@ mod tests {
         assert!(!c.interrupt_lost(0));
         assert_eq!(c.bus_factor(Cycles::ZERO), 1.0);
         assert_eq!(c.next_bus_edge(Cycles::ZERO), None);
-        assert_eq!(c.next_spurious(Cycles::ZERO), None);
+        assert!(c.spurious().is_empty());
     }
 }

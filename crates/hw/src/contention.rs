@@ -35,9 +35,8 @@
 //! burst, one rate per task memory profile) and recur across runs, so
 //! [`ContentionModel::cached_speeds_into`] and
 //! [`ContentionModel::cached_queueing_delay`] answer from a bounded table
-//! per thread: one damped solve per distinct vector and service time, and
-//! a hit is bit-equal to a solve because the solve is a pure function of
-//! its key.
+//! per thread: one damped solve per distinct vector, and a hit is
+//! bit-equal to a solve because the solve is a pure function of its key.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -61,43 +60,23 @@ const DAMPING: f64 = 0.5;
 /// 1,125-cell Figure 4 sweep visits under 900 distinct rate vectors, so
 /// the cap only bounds memory under inputs that keep producing new ones.
 const TABLE_CAP: usize = 4_096;
+/// Service cycles per transaction: the platform's DDR.
+const SERVICE: f64 = DDR_SERVICE_CYCLES as f64;
 
 thread_local! {
     /// This thread's solved operating points.
     static OPERATING_POINTS: RefCell<RateMemo> = const { RefCell::new(RateMemo::new()) };
 }
 
-/// Analytic bus-contention model for one shared bus.
+/// Analytic bus-contention model for one shared bus, whose transactions
+/// take [`DDR_SERVICE_CYCLES`] each.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ContentionModel {
-    /// Service cycles per transaction (default: [`DDR_SERVICE_CYCLES`]).
-    service: f64,
-}
+pub struct ContentionModel;
 
 impl ContentionModel {
     /// Model with the platform's DDR service time.
     pub fn new() -> Self {
-        ContentionModel {
-            service: f64::from(DDR_SERVICE_CYCLES),
-        }
-    }
-
-    /// Model with a custom per-transaction service time (cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `service` is not finite and positive.
-    pub fn with_service(service: f64) -> Self {
-        assert!(
-            service.is_finite() && service > 0.0,
-            "service time must be positive, got {service}"
-        );
-        ContentionModel { service }
-    }
-
-    /// Per-transaction service time in cycles.
-    pub fn service(&self) -> f64 {
-        self.service
+        ContentionModel
     }
 
     /// Computes the execution speed (work per wall cycle, in `(0, 1]`) of
@@ -144,7 +123,7 @@ impl ContentionModel {
         if access_rates.is_empty() {
             return;
         }
-        let s = self.service;
+        let s = SERVICE;
         let n = access_rates.len();
         let x = out;
         x.resize(n, 1.0f64);
@@ -156,7 +135,7 @@ impl ContentionModel {
             let mut max_delta = 0.0f64;
             for i in 0..n {
                 let rho_others = (rho_total - contrib(x, i)).clamp(0.0, 0.999_999);
-                let w = self.wait_time(rho_others);
+                let w = Self::wait_time(rho_others);
                 let target = 1.0 / (1.0 + access_rates[i] * w);
                 let damped = x[i] + DAMPING * (target - x[i]);
                 max_delta = max_delta.max((damped - x[i]).abs());
@@ -183,9 +162,9 @@ impl ContentionModel {
     /// closed and waits stay bounded even past nominal capacity — the open
     /// formula's blow-up near 1 is unphysical here. Deeper saturation is
     /// handled by the capacity normalization in [`ContentionModel::speeds`].
-    fn wait_time(&self, rho: f64) -> f64 {
+    fn wait_time(rho: f64) -> f64 {
         let rho = rho.clamp(0.0, 0.98);
-        rho * self.service / (2.0 * (1.0 - rho))
+        rho * SERVICE / (2.0 * (1.0 - rho))
     }
 
     /// Converts a [`MemoryProfile`]'s *per-instruction* bus-access rate into
@@ -198,11 +177,12 @@ impl ContentionModel {
     /// for any `r`, keeping inputs physical.
     pub fn rate_for_profile(&self, profile: &MemoryProfile) -> f64 {
         let r = profile.bus_accesses_per_cycle();
-        r / (1.0 + r * (self.service - 1.0))
+        r / (1.0 + r * (SERVICE - 1.0))
     }
 
     /// Convenience: speeds for a set of running [`MemoryProfile`]s, using
-    /// [`ContentionModel::rate_for_profile`] for each.
+    /// [`ContentionModel::rate_for_profile`] for each. Kept for
+    /// `micro::tests::fluid_model_matches_micro_sim_at_light_load`.
     pub fn speeds_for_profiles(&self, profiles: &[&MemoryProfile]) -> Vec<f64> {
         let rates: Vec<f64> = profiles.iter().map(|p| self.rate_for_profile(p)).collect();
         self.speeds(&rates)
@@ -218,9 +198,9 @@ impl ContentionModel {
         let rho: f64 = access_rates
             .iter()
             .zip(speeds.iter())
-            .map(|(&a, &x)| a * x * self.service)
+            .map(|(&a, &x)| a * x * SERVICE)
             .sum();
-        self.wait_time(rho)
+        Self::wait_time(rho)
     }
 
     /// [`ContentionModel::speeds_into`] answered from the calling thread's
@@ -254,7 +234,7 @@ impl ContentionModel {
     /// solve itself never reaches the table.
     fn operating_point<R>(&self, access_rates: &[f64], read: impl FnOnce(&[f64], f64) -> R) -> R {
         OPERATING_POINTS.with_borrow_mut(|memo| {
-            if let Some((speeds, delay)) = memo.get(self.service, access_rates) {
+            if let Some((speeds, delay)) = memo.get(access_rates) {
                 return read(speeds, delay);
             }
             let mut speeds = std::mem::take(&mut memo.scratch);
@@ -263,7 +243,7 @@ impl ContentionModel {
             {
                 memo.solves += 1;
             }
-            memo.insert(self.service, access_rates, &speeds, delay);
+            memo.insert(access_rates, &speeds, delay);
             let out = read(&speeds, delay);
             memo.scratch = speeds;
             out
@@ -277,7 +257,7 @@ impl ContentionModel {
     /// to emit bus-stall burst events and attribute them without re-running
     /// the queueing model.
     pub fn burst_excess(&self, priced: Cycles, cpu: u32, bus_words: u32) -> Cycles {
-        let base = f64::from(cpu) + f64::from(bus_words) * self.service;
+        let base = f64::from(cpu) + f64::from(bus_words) * SERVICE;
         Cycles::new((priced.as_u64() as f64 - base).max(0.0).round() as u64)
     }
 
@@ -287,7 +267,7 @@ impl ContentionModel {
         access_rates
             .iter()
             .zip(&speeds)
-            .map(|(&a, &x)| a * x * self.service)
+            .map(|(&a, &x)| a * x * SERVICE)
             .sum()
     }
 }
@@ -332,10 +312,12 @@ impl Hasher for RateKeyHasher {
 }
 
 /// The 64-bit fingerprint [`RateMemo`] indexes an operating point by: the
-/// model's service time, then every rate's [`rate_key`].
-fn fingerprint(service: f64, rates: &[f64]) -> u64 {
+/// vector's width, then every rate's [`rate_key`]. The width comes first
+/// because the hasher starts at zero and a zero word leaves it there, so
+/// without it `[0.0, a]` would share the fingerprint of `[a]`.
+fn fingerprint(rates: &[f64]) -> u64 {
     let mut hasher = RateKeyHasher::default();
-    hasher.write_u64(service.to_bits());
+    hasher.write_u64(rates.len() as u64);
     for &rate in rates {
         hasher.write_u64(rate_key(rate));
     }
@@ -345,8 +327,6 @@ fn fingerprint(service: f64, rates: &[f64]) -> u64 {
 /// Where one memoized operating point lives in a [`RateMemo`].
 #[derive(Debug, Clone, Copy)]
 struct Point {
-    /// Bits of the service time it was solved under.
-    service: u64,
     /// Start of its rate keys in `RateMemo::rates` and of its speeds in
     /// `RateMemo::speeds`.
     at: usize,
@@ -356,8 +336,8 @@ struct Point {
     delay: f64,
 }
 
-/// Memo of solved operating points, keyed by service time and rate
-/// vector. Rate keys and speeds sit back to back in two flat arrays, found
+/// Memo of solved operating points, keyed by rate vector. Rate keys and
+/// speeds sit back to back in two flat arrays, found
 /// through a map from each key's 64-bit fingerprint, so a new entry costs
 /// only amortized growth, never an allocation of its own. Should two
 /// distinct keys share a fingerprint, the later one is simply never
@@ -390,11 +370,11 @@ impl RateMemo {
         }
     }
 
-    /// The speeds and queueing delay memoized for `rates` under `service`.
-    fn get(&self, service: f64, rates: &[f64]) -> Option<(&[f64], f64)> {
-        let &entry = self.index.get(&fingerprint(service, rates))?;
+    /// The speeds and queueing delay memoized for `rates`.
+    fn get(&self, rates: &[f64]) -> Option<(&[f64], f64)> {
+        let &entry = self.index.get(&fingerprint(rates))?;
         let point = self.points[entry];
-        if point.service != service.to_bits() || point.width != rates.len() {
+        if point.width != rates.len() {
             return None;
         }
         let span = point.at..point.at + point.width;
@@ -406,7 +386,7 @@ impl RateMemo {
     }
 
     /// Memoizes an operating point unless its fingerprint is taken.
-    fn insert(&mut self, service: f64, rates: &[f64], speeds: &[f64], delay: f64) {
+    fn insert(&mut self, rates: &[f64], speeds: &[f64], delay: f64) {
         if self.points.len() == TABLE_CAP {
             self.index.clear();
             self.points.clear();
@@ -414,10 +394,9 @@ impl RateMemo {
             self.speeds.clear();
         }
         let entry = self.points.len();
-        if let Entry::Vacant(slot) = self.index.entry(fingerprint(service, rates)) {
+        if let Entry::Vacant(slot) = self.index.entry(fingerprint(rates)) {
             slot.insert(entry);
             self.points.push(Point {
-                service: service.to_bits(),
                 at: self.speeds.len(),
                 width: rates.len(),
                 delay,
@@ -491,7 +470,7 @@ mod tests {
             MemoryProfile::memory_bound(),
         ] {
             let a = m.rate_for_profile(&profile);
-            assert!(a * m.service() < 1.1, "occupancy {}", a * m.service());
+            assert!(a * SERVICE < 1.1, "occupancy {}", a * SERVICE);
             assert!(a <= profile.bus_accesses_per_cycle());
         }
     }
@@ -552,20 +531,13 @@ mod tests {
 
     #[test]
     fn burst_excess_is_the_queueing_part() {
-        let m = ContentionModel::with_service(12.0);
+        let m = ContentionModel::new();
         // Uncontended burst: 100 cpu + 10 words × 12 = 220 cycles.
         assert_eq!(m.burst_excess(Cycles::new(220), 100, 10), Cycles::ZERO);
         // 80 cycles of queueing on top.
         assert_eq!(m.burst_excess(Cycles::new(300), 100, 10), Cycles::new(80));
         // Never negative, even if pricing rounded below base.
         assert_eq!(m.burst_excess(Cycles::new(219), 100, 10), Cycles::ZERO);
-    }
-
-    #[test]
-    fn speeds_monotone_in_service_time() {
-        let fast = ContentionModel::with_service(4.0).speeds(&[0.05; 3]);
-        let slow = ContentionModel::with_service(24.0).speeds(&[0.05; 3]);
-        assert!(fast[0] > slow[0]);
     }
 
     #[test]
@@ -645,21 +617,18 @@ mod tests {
     }
 
     #[test]
-    fn models_with_different_service_times_never_share_an_entry() {
+    fn a_zero_rate_prefix_never_aliases_a_shorter_vector() {
+        // An idle processor contributes a leading 0.0, and one thread's
+        // table serves cells of every width: [0, a] must not take the
+        // entry of [a], or it is solved again at every lookup.
         on_fresh_thread(|| {
-            let rates = [0.05; 3];
-            let (fast, slow) = (
-                ContentionModel::with_service(4.0),
-                ContentionModel::with_service(24.0),
-            );
-            assert_bit_equal(&fast, &rates);
-            assert_bit_equal(&slow, &rates);
-            assert_eq!(solves(), 2, "each service time solves its own point");
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            fast.cached_speeds_into(&rates, &mut a);
-            slow.cached_speeds_into(&rates, &mut b);
-            assert!(a[0] > b[0], "{a:?} vs {b:?}");
-            assert_eq!(solves(), 2);
+            let m = ContentionModel::new();
+            for _ in 0..3 {
+                assert_bit_equal(&m, &[0.05]);
+                assert_bit_equal(&m, &[0.0, 0.05]);
+                assert_bit_equal(&m, &[0.0, 0.0, 0.05]);
+            }
+            assert_eq!(solves(), 3, "one solve per width");
         });
     }
 

@@ -167,11 +167,6 @@ impl MemoryMap {
         }
     }
 
-    /// Whether an access to `region` crosses the shared OPB bus.
-    pub fn is_bus_access(&self, region: Region) -> bool {
-        !matches!(region, Region::LocalBram(_))
-    }
-
     /// The processor-local BRAM.
     ///
     /// # Panics
@@ -179,15 +174,6 @@ impl MemoryMap {
     /// Panics if `proc` is out of range.
     pub fn local(&self, proc: ProcId) -> &Memory {
         &self.locals[proc.index()]
-    }
-
-    /// Mutable access to a processor-local BRAM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is out of range.
-    pub fn local_mut(&mut self, proc: ProcId) -> &mut Memory {
-        &mut self.locals[proc.index()]
     }
 
     /// The shared DDR.
@@ -237,20 +223,15 @@ mod tests {
         let map = MemoryMap::new(2, 4);
         assert_eq!(map.latency(Region::LocalBram(ProcId::new(0))), 1);
         assert_eq!(map.latency(Region::SharedDdr), 12);
-        assert!(!map.is_bus_access(Region::LocalBram(ProcId::new(1))));
-        assert!(map.is_bus_access(Region::SharedDdr));
-        assert!(map.is_bus_access(Region::BootBram));
     }
 
     #[test]
     fn functional_read_write() {
         let mut map = MemoryMap::new(2, 4);
-        map.local_mut(ProcId::new(0)).write(10, 0xDEAD_BEEF);
-        assert_eq!(map.local(ProcId::new(0)).read(10), 0xDEAD_BEEF);
-        // Locals are private: the other BRAM is untouched.
-        assert_eq!(map.local(ProcId::new(1)).read(10), 0);
         map.shared_mut().write(0, 42);
         assert_eq!(map.shared().read(0), 42);
+        // The local BRAMs are separate memories: a shared write leaves them untouched.
+        assert_eq!(map.local(ProcId::new(0)).read(0), 0);
     }
 
     #[test]

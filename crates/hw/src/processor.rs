@@ -204,16 +204,6 @@ impl Processor {
     pub fn stalled(&self) -> u64 {
         self.stalled
     }
-
-    /// Fraction of elapsed activity lost to stalls.
-    pub fn stall_fraction(&self) -> f64 {
-        let total = self.retired + self.stalled;
-        if total == 0 {
-            0.0
-        } else {
-            self.stalled as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,11 +259,9 @@ mod tests {
     #[test]
     fn retirement_accounting() {
         let mut cpu = Processor::new(ProcId::new(0));
-        assert_eq!(cpu.stall_fraction(), 0.0);
         cpu.retire(90, 10);
         assert_eq!(cpu.retired(), 90);
         assert_eq!(cpu.stalled(), 10);
-        assert!((cpu.stall_fraction() - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use mpdp_core::ids::ProcId;
-use mpdp_hw::bus::{Arbiter, ArbitrationPolicy};
+use mpdp_hw::bus::{Arbiter, ArbitrationPolicy, DDR_SERVICE_CYCLES};
 use mpdp_hw::cache::DirectMappedCache;
 use mpdp_hw::contention::ContentionModel;
 
@@ -37,7 +37,11 @@ proptest! {
         extra in 0.001f64..0.05,
     ) {
         let model = ContentionModel::new();
-        let offered: f64 = rates.iter().chain([&extra]).map(|a| a * model.service()).sum();
+        let offered: f64 = rates
+            .iter()
+            .chain([&extra])
+            .map(|a| a * f64::from(DDR_SERVICE_CYCLES))
+            .sum();
         prop_assume!(offered < 0.9);
         let before = model.speeds(&rates);
         let mut more = rates.clone();
@@ -176,7 +180,10 @@ fn regression_bracket_input_is_saturated_but_physical() {
     let rates = vec![rate; n];
     // The bracketing property only claims the light-load regime; this input
     // oversubscribes the bus, which is why the strategy now stops at 0.02.
-    let offered: f64 = rates.iter().map(|a| a * model.service()).sum();
+    let offered: f64 = rates
+        .iter()
+        .map(|a| a * f64::from(DDR_SERVICE_CYCLES))
+        .sum();
     assert!(
         offered > 1.0,
         "historical counterexample should oversubscribe the bus, offered {offered}"
@@ -209,7 +216,7 @@ fn regression_monotonicity_input_is_past_capacity_but_physical() {
     let offered: f64 = rates
         .iter()
         .chain([&extra])
-        .map(|a| a * model.service())
+        .map(|a| a * f64::from(DDR_SERVICE_CYCLES))
         .sum();
     assert!(
         offered >= 0.9,

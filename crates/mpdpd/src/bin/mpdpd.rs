@@ -17,9 +17,12 @@
 //! and performs the graceful drain — stop accepting, answer everything in
 //! flight, flush (already-fsynced) journal, exit 0.
 //!
-//! If the wrapper itself is SIGKILLed, the inner server notices it was
-//! reparented and exits with code 137, which is exactly the crash the
-//! journal recovery path is built for.
+//! An inner-mode server lives only as long as the process that started it:
+//! once that parent is gone (the trampoline was SIGKILLed, or a harness
+//! that started the server in inner mode exited or died), the server
+//! notices it was reparented and exits with code 137, which is exactly the
+//! crash the journal recovery path is built for. No orphan keeps polling
+//! its socket.
 
 use std::os::unix::process::CommandExt;
 use std::path::PathBuf;
@@ -135,7 +138,6 @@ exit "$code"
         .arg("mpdpd-trampoline")
         .args(argv)
         .env("MPDPD_INNER", "1")
-        .env("MPDPD_WRAPPED", "1")
         .env("MPDPD_EXE", exe)
         .env("MPDPD_DRAIN_FILE", drain_file)
         .exec();
@@ -143,12 +145,14 @@ exit "$code"
     std::process::exit(1);
 }
 
-/// Exits 137 if the trampoline disappears (it was SIGKILLed): an orphaned
-/// server would otherwise outlive its signal handling.
-fn watch_trampoline() {
-    let wrapper = std::os::unix::process::parent_id();
+/// Exits 137 once the process that started this server is gone (the
+/// trampoline, or whatever started the server in inner mode): an orphaned
+/// server would otherwise outlive its signal handling and poll its socket
+/// until someone kills it.
+fn watch_parent() {
+    let parent = std::os::unix::process::parent_id();
     std::thread::spawn(move || loop {
-        if std::os::unix::process::parent_id() != wrapper {
+        if std::os::unix::process::parent_id() != parent {
             std::process::exit(137);
         }
         std::thread::sleep(Duration::from_millis(100));
@@ -162,9 +166,7 @@ fn main() {
     if std::env::var("MPDPD_INNER").ok().as_deref() != Some("1") {
         exec_trampoline(&argv, &args.cfg.drain_file);
     }
-    if std::env::var("MPDPD_WRAPPED").ok().as_deref() == Some("1") {
-        watch_trampoline();
-    }
+    watch_parent();
 
     // A stale drain file from a previous run must not drain us at birth.
     let _ = std::fs::remove_file(&args.cfg.drain_file);

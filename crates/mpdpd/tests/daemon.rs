@@ -1,8 +1,9 @@
 //! End-to-end tests against the real `mpdpd` binary: protocol round
 //! trips, SIGKILL crash recovery (also mid-stream under group commit),
 //! journal poisoning by a real write failure, overload shedding, where a
-//! request runs (its reader or a worker), typed timeouts, and the SIGTERM
-//! graceful drain through the sh trampoline.
+//! request runs (its reader or a worker), typed timeouts, the SIGTERM
+//! graceful drain through the sh trampoline, and that no server outlives
+//! the test or the process that started it.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -13,9 +14,12 @@ use std::time::{Duration, Instant};
 
 use mpdp_mpdpd::Client;
 
+/// A server under test. Dropping it, also while a failing test unwinds,
+/// kills and reaps the server and removes its directory.
 struct Daemon {
     child: Child,
     socket: PathBuf,
+    /// Empty once [`Daemon::sigkill`] handed it on.
     dir: PathBuf,
 }
 
@@ -31,7 +35,7 @@ impl Daemon {
         if inner {
             cmd.env("MPDPD_INNER", "1");
         } else {
-            cmd.env_remove("MPDPD_INNER").env_remove("MPDPD_WRAPPED");
+            cmd.env_remove("MPDPD_INNER");
         }
         Daemon::start(tag, cmd, extra, dir)
     }
@@ -65,19 +69,8 @@ impl Daemon {
             .stderr(Stdio::null());
         let child = cmd.spawn().expect("spawn mpdpd");
         let daemon = Daemon { child, socket, dir };
-        daemon.await_ready();
+        await_listening(&daemon.socket);
         daemon
-    }
-
-    fn await_ready(&self) {
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_secs(30) {
-            if Client::connect_unix(&self.socket).is_ok() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        panic!("daemon did not start listening on {:?}", self.socket);
     }
 
     fn connect(&self) -> Client {
@@ -88,18 +81,34 @@ impl Daemon {
         self.dir.join("sessions.mpdpd")
     }
 
-    fn cleanup(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-
-    /// SIGKILLs the server and returns its directory for a relaunch.
+    /// SIGKILLs the server and hands its directory on for a relaunch.
     fn sigkill(mut self) -> PathBuf {
         self.child.kill().expect("sigkill");
         let _ = self.child.wait();
-        self.dir
+        std::mem::take(&mut self.dir)
     }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+        if !self.dir.as_os_str().is_empty() {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
+    }
+}
+
+/// Waits until a server accepts connections on `socket`.
+fn await_listening(socket: &Path) {
+    let t0 = Instant::now();
+    while t0.elapsed() < Duration::from_secs(30) {
+        if Client::connect_unix(socket).is_ok() {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("daemon did not start listening on {socket:?}");
 }
 
 /// Sends `line` on a fresh connection whose reads give up after
@@ -170,7 +179,6 @@ fn protocol_round_trip_over_a_unix_socket() {
         .call(r#"{"op":"close","id":8,"session":"s1"}"#)
         .expect("close");
     assert!(close.contains("\"closed\":\"s1\""), "{close}");
-    d.cleanup();
 }
 
 #[test]
@@ -199,7 +207,7 @@ fn a_tiny_headroom_tolerance_never_wedges_a_worker() {
         .map(|search| search.and_then(reply_on))
         .collect();
     // A wedged daemon spins its workers until killed: stop it first.
-    d.cleanup();
+    drop(d);
     let open = open.expect("open answered");
     assert!(open.contains("\"ok\":true"), "{open}");
     let pong = pong.expect("ping answered behind two searches");
@@ -221,7 +229,7 @@ fn an_admit_past_the_cycle_range_is_a_bad_request() {
         r#"{"op":"admit","id":2,"session":"s","task":100,"exec_us":368934881474191104,"window_us":100000}"#,
     );
     let verdict = call(r#"{"op":"query","id":3,"session":"s"}"#);
-    d.cleanup();
+    drop(d);
     let open = open.expect("open answered");
     assert!(open.contains("\"ok\":true"), "{open}");
     let huge = huge.expect("admit answered");
@@ -261,11 +269,9 @@ fn sigkill_recovery_rebuilds_sessions_byte_identically() {
         .expect("verdict");
 
     // SIGKILL: no drain, no flush beyond the fsync each reply waited for.
-    let mut child = d.child;
-    child.kill().expect("sigkill");
-    let _ = child.wait();
+    let dir = d.sigkill();
 
-    let d2 = Daemon::spawn("sigkill-relaunch", &[], true, Some(d.dir.clone()));
+    let d2 = Daemon::spawn("sigkill-relaunch", &[], true, Some(dir));
     let mut c2 = d2.connect();
     let after_alpha = c2
         .call(r#"{"op":"query","id":9,"session":"alpha"}"#)
@@ -280,7 +286,6 @@ fn sigkill_recovery_rebuilds_sessions_byte_identically() {
         stats.contains("\"serve_sessions_rebuilt\":2") || stats.contains("\"sessions_rebuilt\":2"),
         "{stats}"
     );
-    d2.cleanup();
 }
 
 #[test]
@@ -366,7 +371,6 @@ fn overload_sheds_best_effort_but_never_guaranteed() {
         metrics.contains("mpdp_serve_shed_best_effort_total"),
         "{metrics}"
     );
-    d.cleanup();
 }
 
 #[test]
@@ -382,7 +386,6 @@ fn an_open_refused_for_its_base_is_journaled_and_counted() {
     let stats = c.call(r#"{"op":"stats","id":2}"#).expect("stats");
     assert_eq!(field(&stats, "journal_appends"), 1, "{stats}");
     assert_eq!(field(&stats, "journal_syncs"), 1, "{stats}");
-    d.cleanup();
 }
 
 /// A reply without its `"id":N` prefix, for comparing replies to
@@ -457,7 +460,6 @@ fn a_failed_journal_write_poisons_the_journal_and_loses_no_acknowledged_mutation
         .call(r#"{"op":"query","id":8,"session":"t"}"#)
         .expect("query t");
     assert!(ghost.contains("\"error\":\"unknown_session\""), "{ghost}");
-    d2.cleanup();
 }
 
 #[test]
@@ -516,7 +518,6 @@ fn sigkill_mid_stream_loses_no_acknowledged_admit() {
             "session g{k}: {acked} admits acknowledged, {rebuilt} rebuilt: {verdict}"
         );
     }
-    d2.cleanup();
 }
 
 /// Extracts `"...<name>":<value>` from a flat JSON stats line, tolerating
@@ -572,7 +573,6 @@ fn a_lone_request_runs_on_its_reader_and_a_pipelined_batch_waits() {
     assert_eq!(answered, (100..110).collect::<Vec<u64>>());
     let stats = c.call(r#"{"op":"stats","id":21}"#).expect("stats");
     assert!(field(&stats, "enqueued") >= 1, "{stats}");
-    d.cleanup();
 }
 
 #[test]
@@ -589,12 +589,11 @@ fn an_expired_deadline_is_a_typed_timeout() {
     );
     let stats = c.call(r#"{"op":"stats","id":6}"#).expect("stats");
     assert!(field(&stats, "timeouts") >= 1, "{stats}");
-    d.cleanup();
 }
 
 #[test]
 fn sigterm_through_the_trampoline_drains_and_exits_zero() {
-    let d = Daemon::spawn("drain", &[], false, None);
+    let mut d = Daemon::spawn("drain", &[], false, None);
     let mut c = d.connect();
     let open = c
         .call(r#"{"op":"open","id":1,"session":"drain-s","util":0.4,"procs":2}"#)
@@ -623,10 +622,9 @@ fn sigterm_through_the_trampoline_drains_and_exits_zero() {
         assert!(reply.contains("\"ok\":true"), "{reply}");
     }
 
-    let mut child = d.child;
     let t0 = Instant::now();
     let status = loop {
-        if let Some(status) = child.try_wait().expect("wait") {
+        if let Some(status) = d.child.try_wait().expect("wait") {
             break status;
         }
         assert!(
@@ -645,7 +643,80 @@ fn sigterm_through_the_trampoline_drains_and_exits_zero() {
         .call(r#"{"op":"query","id":1,"session":"drain-s"}"#)
         .expect("verdict");
     assert!(verdict.contains("\"ok\":true"), "{verdict}");
-    d2.cleanup();
+}
+
+#[test]
+fn a_daemon_dropped_while_a_test_unwinds_leaves_no_process() {
+    let mut spawned = None;
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let d = Daemon::spawn_inner("unwind", &[]);
+        spawned = Some((d.child.id(), d.dir.clone()));
+        // What a failing assertion does, without printing a panic message.
+        std::panic::resume_unwind(Box::new("the test body failed"));
+    }));
+    assert!(unwound.is_err());
+    let (pid, dir) = spawned.expect("the daemon started");
+    assert!(gone(pid), "server {pid} outlived its test");
+    assert!(!dir.exists(), "{dir:?} left behind");
+}
+
+#[test]
+fn an_inner_server_exits_once_its_parent_is_gone() {
+    let dir = std::env::temp_dir().join(format!("mpdpd-it-orphan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let socket = dir.join("mpdpd.sock");
+    // The shell starts the server in inner mode, prints its pid and exits
+    // once its stdin closes, which happens when the server accepts.
+    let mut shell = Command::new("/bin/sh")
+        .arg("-c")
+        .arg(
+            r#"MPDPD_INNER=1 "$0" --socket "$1" --journal "$2" </dev/null >/dev/null 2>&1 &
+echo "$!"
+read -r _ || :"#,
+        )
+        .arg(env!("CARGO_BIN_EXE_mpdpd"))
+        .arg(&socket)
+        .arg(dir.join("sessions.mpdpd"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn sh");
+    let mut line = String::new();
+    BufReader::new(shell.stdout.take().expect("stdout"))
+        .read_line(&mut line)
+        .expect("read pid");
+    let pid: u32 = line.trim().parse().expect("server pid");
+    await_listening(&socket);
+    drop(shell.stdin.take());
+    assert!(shell.wait().expect("wait for sh").success());
+
+    let t0 = Instant::now();
+    while !gone(pid) && t0.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let orphaned = !gone(pid);
+    if orphaned {
+        let _ = Command::new("kill")
+            .args(["-KILL", &pid.to_string()])
+            .status();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        !orphaned,
+        "server {pid} kept running after its parent exited"
+    );
+}
+
+/// Whether process `pid` has exited: it no longer exists, or it is a
+/// zombie nobody has reaped yet.
+fn gone(pid: u32) -> bool {
+    match std::fs::read_to_string(format!("/proc/{pid}/stat")) {
+        Err(_) => true,
+        Ok(stat) => stat
+            .rsplit_once(')')
+            .is_some_and(|(_, rest)| rest.trim_start().starts_with('Z')),
+    }
 }
 
 fn journal_nonempty(path: &Path) -> bool {

@@ -87,7 +87,9 @@ impl EventRecorder {
         self.ledger.n_procs()
     }
 
-    /// Number of events of a given name (test/report convenience).
+    /// Number of events of a given name. Kept for the probed-run tests
+    /// (`theoretical::tests::probed_run_matches_unprobed_and_conserves_cycles`,
+    /// `engine::tests::probed_cell_matches_unprobed_and_conserves`).
     pub fn count_events(&self, name: &str) -> usize {
         self.events.iter().filter(|e| e.kind.name() == name).count()
     }

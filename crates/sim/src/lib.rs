@@ -12,9 +12,16 @@
 //!   controller + timer over the modeled bus/memory platform, with explicit
 //!   context-switch traffic, scheduling-cycle costs, interrupt latency, and
 //!   bus contention;
-//! * [`trace`] — completions, deadline verdicts, response-time statistics;
+//! * [`trace`] and [`stats`] — completions, deadline verdicts,
+//!   response-time statistics; [`export`] writes them as CSV;
 //! * [`gantt`] — ASCII schedule rendering (Figure 3) from the activity
-//!   spans a probed run records.
+//!   spans a probed run records;
+//! * [`micro`] — a cycle-level bus and cache micro-simulator, kept as the
+//!   reference the tests check the fluid contention model against.
+//!
+//! Both simulators take one sorted arrival slice. A caller that perturbs
+//! arrivals (the explorer's ISR delays and tie orders) resolves them into
+//! that slice itself and hands the same slice to both stacks.
 //!
 //! ```
 //! use mpdp_sim::theoretical::{run_theoretical, TheoreticalConfig};
@@ -44,7 +51,6 @@
 
 pub mod export;
 pub mod gantt;
-pub mod hooks;
 pub mod micro;
 pub mod prototype;
 pub mod stats;
@@ -53,7 +59,6 @@ pub mod trace;
 
 pub use export::completions_csv;
 pub use gantt::render_gantt;
-pub use hooks::{run_prototype_hooked, run_theoretical_hooked, SimHooks};
 pub use micro::{run_micro, AccessModel, MicroConfig, MicroResult, MicroTask};
 pub use prototype::{
     run_prototype, run_prototype_probed, run_prototype_with, PrototypeConfig, PrototypeOutcome,

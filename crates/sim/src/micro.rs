@@ -77,7 +77,8 @@ impl MicroTask {
         }
     }
 
-    /// A cache-driven task with the given code footprint.
+    /// A cache-driven task with the given code footprint. Kept for
+    /// `cache_driven_fetches_follow_footprint`.
     pub fn with_code_footprint(mut self, words: u64) -> Self {
         self.access_model = AccessModel::CacheDriven {
             code_footprint_words: words,
@@ -107,7 +108,8 @@ impl MicroConfig {
         }
     }
 
-    /// Sets the arbitration policy.
+    /// Sets the arbitration policy. Kept for
+    /// `fixed_priority_favours_low_index_masters`.
     pub fn with_arbitration(mut self, policy: ArbitrationPolicy) -> Self {
         self.arbitration = policy;
         self
@@ -261,7 +263,8 @@ pub fn run_micro(tasks: &[MicroTask], config: &MicroConfig) -> MicroResult {
 
 /// Calibrates the instruction-cache hit rate a code footprint of
 /// `footprint_words` achieves on the given geometry — the bridge from real
-/// code size to the [`MemoryProfile::icache_hit_rate`] field.
+/// code size to the [`MemoryProfile::icache_hit_rate`] field. Kept for
+/// `footprint_calibration_is_monotone`.
 pub fn hit_rate_of_footprint(footprint_words: u64, geometry: (usize, usize)) -> f64 {
     let mut cache = DirectMappedCache::new(geometry.0, geometry.1);
     cache.hit_rate_of_trace((0..footprint_words).cycle().take(200_000))

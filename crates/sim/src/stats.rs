@@ -78,13 +78,6 @@ impl ResponseAccumulator {
         }
     }
 
-    /// Records every completion in `trace`.
-    pub fn observe_trace(&mut self, trace: &Trace) {
-        for c in &trace.completions {
-            self.observe_completion(c);
-        }
-    }
-
     /// Absorbs another accumulator.
     pub fn merge(&mut self, other: &Self) {
         self.responses.extend_from_slice(&other.responses);
@@ -397,7 +390,9 @@ mod tests {
         push_completion(&mut trace, 1, 0, 150, Some(100)); // missed
         push_completion(&mut trace, 2, 0, 9999, None); // soft
         let mut acc = ResponseAccumulator::new();
-        acc.observe_trace(&trace);
+        for c in &trace.completions {
+            acc.observe_completion(c);
+        }
         assert_eq!(acc.len(), 3);
         assert_eq!(acc.misses(), 1);
         assert!((acc.miss_ratio() - 0.5).abs() < 1e-12);

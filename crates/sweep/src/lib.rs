@@ -76,6 +76,6 @@ pub use fingerprint::{cell_fingerprint, spec_fingerprint, ENGINE_VERSION};
 pub use journal::{Journal, JournalTail};
 pub use linejournal::{LineJournal, LineJournalError};
 pub use merge::{merge_journal_files, read_shard_journal, MergeError};
-pub use report::{cells_csv, find_cell, group_summaries, report_json, summary_csv, GroupSummary};
+pub use report::{cells_csv, group_summaries, report_json, summary_csv, GroupSummary};
 pub use shard::{plan_shards, plan_spec_shards, ShardPlan};
 pub use spec::{ArrivalSpec, CellSpec, Knobs, PolicyKind, SweepSpec, WorkloadSpec};

@@ -421,15 +421,6 @@ fn json_groups_tail(out: &mut String, groups: &[GroupSummary], faulted: bool) {
     out.push_str("]}");
 }
 
-/// Convenience: find one cell by grid coordinates (first match in index
-/// order).
-pub fn find_cell(report: &SweepReport, n_procs: usize, utilization: f64) -> Option<&CellResult> {
-    report
-        .cells
-        .iter()
-        .find(|c| c.cell.n_procs == n_procs && (c.cell.utilization - utilization).abs() < 1e-9)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

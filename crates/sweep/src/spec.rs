@@ -209,7 +209,8 @@ impl SweepSpec {
         }
     }
 
-    /// Sets the seed coordinates to `0..n`.
+    /// Sets the seed coordinates to `0..n`. Kept for the small grids of
+    /// `tests/determinism.rs` and the spec and fingerprint unit tests.
     pub fn with_seed_count(mut self, n: usize) -> Self {
         self.seeds = (0..n as u64).collect();
         self

@@ -32,7 +32,8 @@ impl FleetRecorder {
             .clone()
     }
 
-    /// Consumes the recorder, returning the events without cloning.
+    /// Consumes the recorder, returning the events without cloning. Kept
+    /// for `tests/resume.rs::a_range_runs_one_shard_and_reports_progress`.
     pub fn into_events(self) -> Vec<FleetEvent> {
         self.events.into_inner().unwrap_or_else(|p| p.into_inner())
     }

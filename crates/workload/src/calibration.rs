@@ -160,7 +160,9 @@ pub fn count_usan_points(edge: u64) -> u64 {
 }
 
 /// Estimates the execution cycles of a benchmark from its real operation
-/// counts and the cost model.
+/// counts and the cost model. Kept for
+/// `wcet_table_is_consistent_with_operation_counts`, which checks the WCET
+/// table against it.
 pub fn estimate_cycles(spec: BenchSpec, model: &CostModel) -> Cycles {
     let n = dataset_size(spec);
     let cycles = match spec.program {

@@ -102,7 +102,9 @@ impl TaskGenConfig {
     }
 
     /// Enables constrained deadlines drawn uniformly from
-    /// `[lo, hi] × period`.
+    /// `[lo, hi] × period`. Kept for
+    /// `tests/analysis_kernel.rs::random_sets_match_the_reference`, which
+    /// needs constrained-deadline sets.
     ///
     /// # Panics
     ///
