@@ -362,6 +362,41 @@ mod tests {
     }
 
     #[test]
+    fn promoted_for_yields_nothing_where_the_server_runs() {
+        let mut p = policy();
+        let server = p.server_proc();
+        // Promote-at-release: the poll at 0 finds no aperiodic work, and
+        // every periodic job is promoted into its processor's HPLRQ.
+        release_due(&mut p, Cycles::ZERO);
+        let mut promoted = Vec::new();
+        p.promote_due_into(Cycles::ZERO, &mut promoted);
+        assert!(!promoted.is_empty());
+        let promoted_slots = |p: &PollingServerPolicy| -> Vec<Option<JobId>> {
+            assign(p)
+                .into_iter()
+                .map(|slot| slot.filter(|&j| p.job(j).promoted))
+                .collect()
+        };
+        let before = promoted_slots(&p);
+        let head = before[server.index()];
+        assert!(
+            head.is_some(),
+            "promoted work waits on the server processor"
+        );
+        // An arrival earns the server a budget at the next poll: its job
+        // takes the server processor's slot, which then holds no promoted
+        // job.
+        p.release_aperiodic(0, DEFAULT_TICK);
+        release_due(&mut p, DEFAULT_TICK * 10);
+        assert!(p.server_job().is_some());
+        assert_eq!(assign(&p)[server.index()], p.server_job());
+        assert_eq!(p.promoted_for(server), None);
+        for (proc, slot) in promoted_slots(&p).into_iter().enumerate() {
+            assert_eq!(p.promoted_for(ProcId::new(proc as u32)), slot, "P{proc}");
+        }
+    }
+
+    #[test]
     fn internal_event_is_the_replenishment() {
         let mut p = policy();
         assert_eq!(p.next_internal_event(), Some(Cycles::ZERO));

@@ -258,6 +258,17 @@ pub trait Scheduler {
     fn assign_into(&self, desired: &mut Vec<Option<JobId>>);
     /// Local pick for a single idle processor (completion path).
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId>;
+    /// The promoted job [`Scheduler::assign_into`] would place on `proc`,
+    /// if its slot holds one. The prototype's scavenger asks this of every
+    /// running processor on every event, so a policy whose promoted slots
+    /// are cheap to read should answer without a full assignment. Default:
+    /// derived from a full assignment into a fresh buffer, so it is exact
+    /// for any policy (and allocates).
+    fn promoted_for(&self, proc: ProcId) -> Option<JobId> {
+        let mut desired = Vec::new();
+        self.assign_into(&mut desired);
+        desired[proc.index()].filter(|&job| self.job(job).promoted)
+    }
     /// Notification that `job` executed for `amount` of work ending at
     /// `now`; used by budget-based policies (polling servers). Default:
     /// no-op.
@@ -731,6 +742,20 @@ impl MpdpPolicy {
         }
     }
 
+    /// The promoted job [`Self::assign_into`] places on `proc`: the head of
+    /// its High Priority Local Ready Queue while it is alive. Exact because
+    /// the assignment fills every HPLRQ head first and places only
+    /// unpromoted global jobs in the remaining slots, and a job sits in a
+    /// HPLRQ exactly when it is promoted.
+    pub fn promoted_for(&self, proc: ProcId) -> Option<JobId> {
+        let p = proc.index();
+        if self.alive[p] {
+            self.hplrq[p].peek()
+        } else {
+            None
+        }
+    }
+
     /// Picks the next job for a single idle processor without disturbing the
     /// rest of the system — the paper's completion path: "If a processor
     /// completes execution of its current task, it will not wait until the
@@ -1147,6 +1172,9 @@ impl Scheduler for MpdpPolicy {
     }
     fn pick_for_idle(&self, proc: ProcId) -> Option<JobId> {
         self.pick_for_idle(proc)
+    }
+    fn promoted_for(&self, proc: ProcId) -> Option<JobId> {
+        self.promoted_for(proc)
     }
     fn degradation(&self) -> DegradationPolicy {
         self.degradation()

@@ -299,7 +299,9 @@ proptest! {
 
     /// Under random releases, completions, kills, demotions, promotions,
     /// affinity-building runs and fail-stops: `assign_into` equals the
-    /// reference algorithm (also into a dirty reused buffer), and
+    /// reference algorithm (also into a dirty reused buffer),
+    /// `promoted_for` equals each promoted slot of it (and `None` for every
+    /// other slot), and
     /// `live_jobs`, `next_promotion_time`, `promote_due_into` and
     /// `detect_missed` equal brute-force scans over all released jobs.
     #[test]
@@ -392,6 +394,15 @@ proptest! {
             prop_assert_eq!(policy.assign(), expected.clone(), "assign vs reference");
             policy.assign_into(&mut reused);
             prop_assert_eq!(&reused, &expected, "assign_into a reused buffer");
+            for (p, slot) in expected.iter().enumerate() {
+                let promoted = slot.filter(|&job| policy.job(job).promoted);
+                prop_assert_eq!(
+                    policy.promoted_for(ProcId::new(p as u32)),
+                    promoted,
+                    "promoted_for vs the reference slot of P{}",
+                    p
+                );
+            }
         }
     }
 }

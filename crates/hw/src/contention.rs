@@ -37,6 +37,11 @@
 //! [`ContentionModel::cached_queueing_delay`] answer from a bounded table
 //! per thread: one damped solve per distinct vector, and a hit is
 //! bit-equal to a solve because the solve is a pure function of its key.
+//!
+//! A [`ClassMemo`] sits in front of that table for one run: the run names
+//! its few rate classes up front, a rate vector becomes one integer code,
+//! and the code indexes a dense table filled from the thread's table on
+//! first sight, so most lookups hash nothing.
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -62,6 +67,10 @@ const DAMPING: f64 = 0.5;
 const TABLE_CAP: usize = 4_096;
 /// Service cycles per transaction: the platform's DDR.
 const SERVICE: f64 = DDR_SERVICE_CYCLES as f64;
+/// Codes a [`ClassMemo`] indexes densely: `classes^width` may not exceed
+/// this. Four processors over idle, kernel, ISR and three task profiles
+/// need 1,296.
+const CLASS_CODES_CAP: usize = 4_096;
 
 thread_local! {
     /// This thread's solved operating points.
@@ -407,6 +416,130 @@ impl RateMemo {
     }
 }
 
+/// One run's operating points, indexed by a rate-class code.
+///
+/// A run's processors draw their bus-access rates from a few classes fixed
+/// before it starts: idle, the kernel and ISR burst rates, and one rate per
+/// distinct task memory profile. Numbering the classes `0..k` (idle is 0)
+/// makes each processor's rate a digit, and a rate vector the base-`k`
+/// code `Σ class_p · k^p`. The code indexes a dense table whose entries
+/// are filled on first sight from the thread's operating-point table
+/// ([`ContentionModel::cached_speeds_into`]), so each is bit-equal to a
+/// solve of the vector it stands for. A run whose codes outnumber
+/// `CLASS_CODES_CAP` gets no table ([`ClassMemo::fits`] is `false`) and
+/// asks the thread's table directly.
+#[derive(Debug, Default)]
+pub struct ClassMemo {
+    /// Rate of each class; class 0 is idle.
+    rates: Vec<f64>,
+    /// Processors per rate vector.
+    width: usize,
+    /// Per code: 0 before its first sight, then 1 + its entry. Empty when
+    /// the codes do not fit.
+    slots: Vec<u32>,
+    /// `width` speeds per entry, back to back.
+    speeds: Vec<f64>,
+    /// Mean queueing delay per entry.
+    delays: Vec<f64>,
+    /// Rate vector a first sight decodes its code into.
+    scratch: Vec<f64>,
+}
+
+impl ClassMemo {
+    /// A memo for rate vectors of `width` processors whose rates are idle
+    /// (0.0) or one of `rates`. Equal rates share a class, -0.0 and +0.0
+    /// included.
+    pub fn new(width: usize, rates: impl IntoIterator<Item = f64>) -> Self {
+        let mut memo = ClassMemo {
+            rates: vec![0.0],
+            width,
+            ..ClassMemo::default()
+        };
+        for rate in rates {
+            if memo.find(rate).is_none() {
+                memo.rates.push(rate);
+            }
+        }
+        let codes = u32::try_from(width)
+            .ok()
+            .and_then(|w| memo.rates.len().checked_pow(w))
+            .filter(|&codes| codes <= CLASS_CODES_CAP);
+        if let Some(codes) = codes {
+            memo.slots = vec![0; codes];
+        }
+        memo
+    }
+
+    fn find(&self, rate: f64) -> Option<usize> {
+        self.rates
+            .iter()
+            .position(|&r| rate_key(r) == rate_key(rate))
+    }
+
+    /// The class of `rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is neither 0.0 nor one of the rates the memo was
+    /// built with.
+    pub fn class_of(&self, rate: f64) -> usize {
+        self.find(rate)
+            .unwrap_or_else(|| panic!("rate {rate} has no class"))
+    }
+
+    /// Number of classes: the base of a code.
+    pub fn radix(&self) -> usize {
+        self.rates.len()
+    }
+
+    /// The bus-access rate of `class`.
+    pub fn rate(&self, class: usize) -> f64 {
+        self.rates[class]
+    }
+
+    /// Whether codes index a table ([`Self::point`] may be called).
+    pub fn fits(&self) -> bool {
+        !self.slots.is_empty()
+    }
+
+    /// The speeds and mean queueing delay of the rate vector `code` stands
+    /// for, bit-equal to [`ContentionModel::speeds`] and
+    /// [`ContentionModel::queueing_delay`] of it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memo does not [`fit`](Self::fits) or `code` is out of
+    /// range.
+    pub fn point(&mut self, code: usize) -> (&[f64], f64) {
+        let entry = match self.slots[code] {
+            0 => self.fill(code),
+            slot => slot as usize - 1,
+        };
+        let at = entry * self.width;
+        (&self.speeds[at..at + self.width], self.delays[entry])
+    }
+
+    /// Fills the entry of `code` from the thread's table.
+    fn fill(&mut self, code: usize) -> usize {
+        let mut rates = std::mem::take(&mut self.scratch);
+        rates.clear();
+        let mut rest = code;
+        for _ in 0..self.width {
+            rates.push(self.rates[rest % self.rates.len()]);
+            rest /= self.rates.len();
+        }
+        let delay = ContentionModel.operating_point(&rates, |speeds, delay| {
+            self.speeds.extend_from_slice(speeds);
+            delay
+        });
+        self.scratch = rates;
+        let entry = self.delays.len();
+        self.delays.push(delay);
+        self.slots[code] = entry as u32 + 1;
+        entry
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,6 +762,57 @@ mod tests {
                 assert_bit_equal(&m, &[0.0, 0.0, 0.05]);
             }
             assert_eq!(solves(), 3, "one solve per width");
+        });
+    }
+
+    #[test]
+    fn every_class_memo_entry_is_bit_equal_to_a_solve() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let model = ContentionModel::new();
+        let profiles = [
+            MemoryProfile::compute_bound(),
+            MemoryProfile::balanced(),
+            MemoryProfile::memory_bound(),
+        ]
+        .map(|p| model.rate_for_profile(&p));
+        // Kernel and ISR burst rates, the profiles, and repeats of a
+        // profile and of idle (as -0.0): six classes in all.
+        let rates = [
+            0.05,
+            0.01,
+            profiles[0],
+            profiles[1],
+            profiles[2],
+            profiles[1],
+            -0.0,
+        ];
+        on_fresh_thread(|| {
+            for width in 1..=4 {
+                let mut memo = ClassMemo::new(width, rates);
+                let radix = memo.radix();
+                assert_eq!(radix, 6);
+                assert!(memo.fits());
+                for class in 0..radix {
+                    assert_eq!(memo.class_of(memo.rate(class)), class);
+                }
+                for code in 0..radix.pow(width as u32) {
+                    // The vector a code stands for: class_p = digit p of
+                    // the code in base `radix`, least significant first.
+                    let vector: Vec<f64> = (0..width)
+                        .map(|p| memo.rate(code / radix.pow(p as u32) % radix))
+                        .collect();
+                    let speeds = bits(&model.speeds(&vector));
+                    let delay = model.queueing_delay(&vector, &mut Vec::new()).to_bits();
+                    // First sight fills the entry; the second reads it.
+                    for _ in 0..2 {
+                        let (memo_speeds, memo_delay) = memo.point(code);
+                        assert_eq!(bits(memo_speeds), speeds, "speeds of {vector:?}");
+                        assert_eq!(memo_delay.to_bits(), delay, "delay of {vector:?}");
+                    }
+                }
+            }
+            // Six classes over five processors need 7,776 codes.
+            assert!(!ClassMemo::new(5, rates).fits());
         });
     }
 

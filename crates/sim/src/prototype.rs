@@ -31,7 +31,7 @@ use mpdp_core::ids::{JobId, PeripheralId, ProcId, TaskId};
 use mpdp_core::policy::{DegradationPolicy, JobClass, OverrunAction, Scheduler, SwitchAction};
 use mpdp_core::time::{Cycles, DEFAULT_TICK};
 use mpdp_faults::CompiledFaults;
-use mpdp_hw::contention::ContentionModel;
+use mpdp_hw::contention::{ClassMemo, ContentionModel};
 use mpdp_hw::timer::SystemTimer;
 use mpdp_intc::{IntcStats, InterruptSource, MpInterruptController};
 use mpdp_kernel::{KernelCost, KernelCosts, KernelStats, Microkernel, SchedulingPass};
@@ -204,9 +204,9 @@ struct JobProgress {
     reported: u64,
     /// Execution demand at release (fractional under WCET-overrun faults).
     demand: f64,
-    /// Bus-access rate of the job's memory profile, read by every speed
-    /// solve and burst pricing while it runs.
-    bus_rate: f64,
+    /// Rate class of the job's memory profile in the run's [`ClassMemo`],
+    /// read by every speed lookup and burst pricing while it runs.
+    class: usize,
 }
 
 impl JobProgress {
@@ -214,7 +214,7 @@ impl JobProgress {
         done: 0.0,
         reported: 0,
         demand: f64::NAN,
-        bus_rate: f64::NAN,
+        class: usize::MAX,
     };
 }
 
@@ -227,8 +227,24 @@ impl JobProgress {
 /// same instant. Completion itself is decided by the 0.5-cycle threshold
 /// in `handle_completions`, so for any job that survives a completion
 /// sweep (`remaining > 0.5`) the clamp never alters the event time.
+///
+/// Equal to `(remaining / speed).ceil().max(1.0) as u64` for every
+/// non-negative quotient, `+inf` included (it saturates at `u64::MAX`), by
+/// cast arithmetic instead of a libm call: the cast truncates, and the
+/// quotient exceeds the truncation exactly when it has a fraction.
 fn running_eta(remaining: f64, speed: f64) -> u64 {
-    (remaining / speed).ceil().max(1.0) as u64
+    let q = remaining / speed;
+    let t = q as u64;
+    t.saturating_add(u64::from((t as f64) < q)).max(1)
+}
+
+/// `x.round() as u64` (half away from zero) for non-negative `x`, by cast
+/// arithmetic instead of a libm call. `x - trunc(x)` is exact for every
+/// finite `x`, so comparing it with 0.5 rounds exactly where `round` does;
+/// `x + 0.5` would not (it rounds 0.49999999999999994 up).
+fn round_nonneg(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 /// The prototype simulator.
@@ -248,13 +264,21 @@ pub struct PrototypeSim<S: Scheduler, P: Probe = NullProbe> {
     /// Per-job progress ledger mirroring `remaining` (same indexing).
     progress: Vec<JobProgress>,
     speeds: Vec<f64>,
-    /// Bus-access rates the current `speeds` were solved for; when a
-    /// scheduling event leaves every processor's rate unchanged, the
-    /// contention fixed point is skipped (it would converge to the same
-    /// speeds). Emptied-by-construction before the first solve.
-    solved_rates: Vec<f64>,
+    /// This run's operating points by rate-class code, built once the
+    /// configured rates are validated.
+    points: ClassMemo,
+    /// Rate class of each task's memory profile, periodic tasks first.
+    task_classes: Vec<usize>,
+    /// Rate classes of a context move and of ISR bookkeeping.
+    switch_class: usize,
+    isr_class: usize,
+    /// Code of the rate vector the current `speeds` belong to; an event
+    /// that leaves every processor's rate class unchanged leaves the speeds
+    /// alone. `None` before the first lookup.
+    solved_code: Option<usize>,
     /// Scratch for assembling per-processor rates without reallocating
-    /// (shared by the speed solve and burst pricing, which never nest).
+    /// when the codes do not fit or faults force a solve (shared by the
+    /// speed solve and burst pricing, which never nest).
     rates_scratch: Vec<f64>,
     /// Scratch for the kernel's scheduling passes.
     pass: SchedulingPass,
@@ -336,7 +360,11 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             remaining: Vec::new(),
             progress: Vec::new(),
             speeds: vec![1.0; n_procs],
-            solved_rates: Vec::new(),
+            points: ClassMemo::default(),
+            task_classes: Vec::new(),
+            switch_class: 0,
+            isr_class: 0,
+            solved_code: None,
             rates_scratch: Vec::new(),
             pass: SchedulingPass::default(),
             desired: Vec::new(),
@@ -416,11 +444,28 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             return Err(TaskSetError::InvalidParameter("tick"));
         }
         let table = self.kernel.policy().table();
-        let periodic = table.periodic().iter().map(|t| t.profile());
-        let aperiodic = table.aperiodic().iter().map(|t| t.profile());
-        if !periodic.chain(aperiodic).all(|p| p.is_valid()) {
+        let profiles = || {
+            let periodic = table.periodic().iter().map(|t| t.profile());
+            periodic.chain(table.aperiodic().iter().map(|t| t.profile()))
+        };
+        if !profiles().all(|p| p.is_valid()) {
             return Err(TaskSetError::InvalidParameter("memory profile"));
         }
+        let task_rates: Vec<f64> = profiles()
+            .map(|p| self.contention.rate_for_profile(p))
+            .collect();
+        self.points = ClassMemo::new(
+            self.n_procs(),
+            [self.config.kernel_bus_rate, self.config.isr_bus_rate]
+                .into_iter()
+                .chain(task_rates.iter().copied()),
+        );
+        self.task_classes = task_rates
+            .iter()
+            .map(|&rate| self.points.class_of(rate))
+            .collect();
+        self.switch_class = self.points.class_of(self.config.kernel_bus_rate);
+        self.isr_class = self.points.class_of(self.config.isr_bus_rate);
         let mut arrival_idx = 0usize;
         if let Some(pin) = self.config.pin_interrupts_to {
             for per in 0..self.kernel.policy().table().aperiodic().len().max(1) {
@@ -734,7 +779,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                             .on_progress(job, Cycles::new(delta), t);
                         continue;
                     }
-                    let total = prog.done.round() as u64;
+                    let total = round_nonneg(prog.done);
                     let delta = total - prog.reported;
                     prog.reported = total;
                     self.kernel
@@ -781,37 +826,66 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }
     }
 
-    fn recompute_speeds(&mut self) {
+    /// Rate class of processor `p`'s current activity; with
+    /// `running_only`, a kernel burst counts as idle.
+    fn rate_class(&self, p: usize, running_only: bool) -> usize {
+        match &self.activity[p] {
+            Activity::Running(job) => self.progress[job.index()].class,
+            Activity::Busy { work, .. } if !running_only => match work {
+                BusyWork::Switch { .. } => self.switch_class,
+                _ => self.isr_class,
+            },
+            _ => 0,
+        }
+    }
+
+    /// The code of every processor's rate class (see [`ClassMemo`]).
+    fn rate_code(&self, running_only: bool) -> usize {
+        let radix = self.points.radix();
+        (0..self.n_procs())
+            .rev()
+            .fold(0, |code, p| code * radix + self.rate_class(p, running_only))
+    }
+
+    /// Every processor's bus-access rate, in the `rates_scratch` buffer
+    /// (the caller hands it back).
+    fn rate_vector(&mut self, running_only: bool) -> Vec<f64> {
         let mut rates = std::mem::take(&mut self.rates_scratch);
         rates.clear();
-        rates.extend((0..self.n_procs()).map(|p| match &self.activity[p] {
-            Activity::Running(job) => self.progress[job.index()].bus_rate,
-            Activity::Busy { work, .. } => match work {
-                BusyWork::Switch { .. } => self.config.kernel_bus_rate,
-                _ => self.config.isr_bus_rate,
-            },
-            Activity::Idle => 0.0,
-        }));
+        rates.extend(
+            (0..self.n_procs()).map(|p| self.points.rate(self.rate_class(p, running_only))),
+        );
+        rates
+    }
+
+    fn recompute_speeds(&mut self) {
         // Called on every event-loop iteration, but most events (ticks,
         // acks, arrivals that change nothing) leave every processor's
-        // activity — and hence its bus-access rate — untouched, and the
-        // vectors that do occur repeat from a small alphabet. The fixed
-        // point is a pure function of the rates, so: an unchanged vector
-        // skips everything, and any other is answered from the thread's
+        // activity — and hence its rate class — untouched, and the codes
+        // that do occur repeat. The fixed point is a pure function of the
+        // rates, so: an unchanged code skips everything, and any other is
+        // answered from the run's memo, filled from the thread's
         // operating-point table, which pays for the damped up-to-MAX_ITERS
         // solve once per distinct vector. Fault plans inject a
         // *time-varying* bus factor on top, so any run with faults always
         // re-solves.
         if self.faults.is_empty() {
-            if rates == self.solved_rates {
-                self.rates_scratch = rates;
+            if self.points.fits() {
+                let code = self.rate_code(false);
+                if self.solved_code != Some(code) {
+                    self.solved_code = Some(code);
+                    let (speeds, _) = self.points.point(code);
+                    self.speeds.clear();
+                    self.speeds.extend_from_slice(speeds);
+                }
                 return;
             }
+            let rates = self.rate_vector(false);
             self.contention.cached_speeds_into(&rates, &mut self.speeds);
-            std::mem::swap(&mut self.solved_rates, &mut rates);
             self.rates_scratch = rates;
             return;
         }
+        let rates = self.rate_vector(false);
         self.contention.speeds_into(&rates, &mut self.speeds);
         self.rates_scratch = rates;
         // Transient bus-latency spike: every memory access is slower, so
@@ -836,18 +910,19 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             .iter()
             .filter(|a| matches!(a, Activity::Busy { .. }))
             .count() as f64;
-        let mut running_rates = std::mem::take(&mut self.rates_scratch);
-        running_rates.clear();
-        running_rates.extend((0..self.n_procs()).map(|p| match &self.activity[p] {
-            Activity::Running(job) => self.progress[job.index()].bus_rate,
-            _ => 0.0,
-        }));
-        let task_wait = self.contention.cached_queueing_delay(&running_rates);
-        self.rates_scratch = running_rates;
+        let task_wait = if self.points.fits() {
+            let code = self.rate_code(true);
+            self.points.point(code).1
+        } else {
+            let running_rates = self.rate_vector(true);
+            let delay = self.contention.cached_queueing_delay(&running_rates);
+            self.rates_scratch = running_rates;
+            delay
+        };
         let task_wait = task_wait.min(3.0 * service);
         let per_word = service * (1.0 + other_bursts) + task_wait;
         let cycles = f64::from(cost.cpu) + f64::from(cost.bus_words) * per_word;
-        Cycles::new((cycles.round() as u64).max(1))
+        Cycles::new(round_nonneg(cycles).max(1))
     }
 
     /// Cycles this ISR must wait for the scheduler/controller lock, and
@@ -1100,7 +1175,9 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                         );
                     }
                 }
-                self.resolve_local_switch(proc, paused, in_isr);
+                // Raising IPIs leaves the policy alone, so the assignment
+                // just computed is still the one to switch to.
+                self.switch_to_desired(proc, paused, in_isr);
             }
             BusyWork::IpiResolve => {
                 self.resolve_local_switch(proc, paused, in_isr);
@@ -1127,10 +1204,16 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
     }
 
     /// Decides and starts this processor's own context switch from the
-    /// current desired assignment (the IPI handler's logic, shared with the
-    /// scheduling-pass epilogue).
+    /// current desired assignment (the IPI handler's logic).
     fn resolve_local_switch(&mut self, proc: ProcId, paused: Option<JobId>, in_isr: bool) {
         self.kernel.policy().assign_into(&mut self.desired);
+        self.switch_to_desired(proc, paused, in_isr);
+    }
+
+    /// Starts this processor's own context switch towards its slot of
+    /// `desired`, which the caller has just computed (shared by the IPI
+    /// handler and the scheduling-pass epilogue).
+    fn switch_to_desired(&mut self, proc: ProcId, paused: Option<JobId>, in_isr: bool) {
         let want = self.desired[proc.index()];
         let cur = self.kernel.policy().running()[proc.index()];
         debug_assert_eq!(cur, paused);
@@ -1218,7 +1301,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
             // demanded — top the progress ledger up to the integer demand
             // so the deltas reported via `on_progress` sum exactly to it.
             let prog = &mut self.progress[job.index()];
-            let target = prog.demand.round() as u64;
+            let target = round_nonneg(prog.demand);
             #[cfg(any(test, feature = "mutation"))]
             let skip_flush = self.config.truncate_progress;
             #[cfg(not(any(test, feature = "mutation")))]
@@ -1303,16 +1386,18 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         // becomes available (e.g. it just finished being saved by the
         // processor it migrated from). Without this, a mid-migration
         // promoted job could wait until the next tick — violating the
-        // promotion analysis.
-        let mut desired = std::mem::take(&mut self.desired);
-        self.kernel.policy().assign_into(&mut desired);
-        for (p, slot) in desired.iter().enumerate() {
+        // promotion analysis. The switches started here change only the
+        // running map, never a queue, so each processor's promoted job is
+        // the one the assignment had before the first of them.
+        for p in 0..self.n_procs() {
             let proc = ProcId::new(p as u32);
             let Activity::Running(cur) = self.activity[p] else {
                 continue;
             };
-            let Some(want) = *slot else { continue };
-            if want == cur || !self.kernel.policy().job(want).promoted {
+            let Some(want) = self.kernel.policy().promoted_for(proc) else {
+                continue;
+            };
+            if want == cur {
                 continue;
             }
             let available = !self.kernel.policy().running().contains(&Some(want));
@@ -1328,7 +1413,6 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 );
             }
         }
-        self.desired = desired;
     }
 
     fn ensure_job(&mut self, job: JobId) {
@@ -1339,21 +1423,15 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
         }
         if self.remaining[idx].is_nan() {
             let table = self.kernel.policy().table();
-            let (nominal, coord, profile) = match self.kernel.policy().job(job).class {
+            let (nominal, coord) = match self.kernel.policy().job(job).class {
                 JobClass::Periodic { task_index } => {
-                    let task = &table.periodic()[task_index];
-                    (task.wcet(), task_index, task.profile())
+                    (table.periodic()[task_index].wcet(), task_index)
                 }
-                JobClass::Aperiodic { task_index } => {
-                    let task = &table.aperiodic()[task_index];
-                    (
-                        task.exec(),
-                        table.periodic().len() + task_index,
-                        task.profile(),
-                    )
-                }
+                JobClass::Aperiodic { task_index } => (
+                    table.aperiodic()[task_index].exec(),
+                    table.periodic().len() + task_index,
+                ),
             };
-            let bus_rate = self.contention.rate_for_profile(profile);
             let nominal = nominal.as_u64() as f64;
             let mut demand = nominal;
             if !self.faults.is_empty() {
@@ -1365,7 +1443,7 @@ impl<S: Scheduler, P: Probe> PrototypeSim<S, P> {
                 done: 0.0,
                 reported: 0,
                 demand,
-                bus_rate,
+                class: self.task_classes[coord],
             };
             if self.track {
                 if self.ledger.len() <= idx {
@@ -1487,6 +1565,7 @@ mod tests {
     use mpdp_core::policy::MpdpPolicy;
     use mpdp_core::priority::Priority;
     use mpdp_core::task::{AperiodicTask, PeriodicTask};
+    use proptest::prelude::*;
 
     /// Minimal stand-in for the offline tool (the sim crate cannot depend
     /// on `mpdp-analysis`, which sits above it).
@@ -1545,6 +1624,110 @@ mod tests {
         // surviving job `remaining > 0.5` and, at full speed, the ceil alone
         // already yields ≥ 1 — the clamp is behaviour-neutral there.
         assert_eq!(running_eta(0.5000001, 1.0), 1);
+    }
+
+    /// The libm answers the cast arithmetic must reproduce.
+    fn libm_eta(remaining: f64, speed: f64) -> u64 {
+        (remaining / speed).ceil().max(1.0) as u64
+    }
+
+    fn libm_round(x: f64) -> u64 {
+        x.round() as u64
+    }
+
+    #[test]
+    fn rounding_helpers_match_libm_at_the_edges() {
+        let two52 = 2f64.powi(52);
+        for x in [
+            0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            two52 - 0.5,
+            two52 + 1.0,
+            2f64.powi(53),
+        ] {
+            assert_eq!(round_nonneg(x), libm_round(x), "round({x})");
+            assert_eq!(running_eta(x, 1.0), libm_eta(x, 1.0), "eta({x})");
+        }
+        assert_eq!(round_nonneg(0.49999999999999994), 0, "x + 0.5 would say 1");
+        assert_eq!(round_nonneg(two52 - 0.5), 1 << 52);
+        // A quotient landing exactly on an integer is its own ceiling, and
+        // one a rounding error below it is not.
+        assert_eq!(3.0 / 0.75, 4.0);
+        assert_eq!(running_eta(3.0, 0.75), 4);
+        assert_eq!(0.3 / 0.1, 2.9999999999999996);
+        assert_eq!(running_eta(0.3, 0.1), libm_eta(0.3, 0.1));
+        assert_eq!(running_eta(0.3, 0.1), 3);
+        // An infinite quotient saturates, as the float-to-int cast does.
+        assert_eq!(running_eta(f64::INFINITY, 1.0), u64::MAX);
+        assert_eq!(running_eta(1e300, 1e-10), libm_eta(1e300, 1e-10));
+        assert_eq!(round_nonneg(1e300), libm_round(1e300));
+    }
+
+    /// A non-negative finite `f64`: any bit pattern, integers and exact
+    /// halves on both sides of 2^52, and the neighbours of halves.
+    fn nonneg_finite() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>()
+                .prop_map(|bits| f64::from_bits(bits >> 1))
+                .prop_map(|x| if x.is_finite() { x } else { f64::MAX }),
+            (0u64..1 << 55).prop_map(|n| n as f64 / 2.0),
+            (0u64..1 << 20, 0u64..3)
+                .prop_map(|(n, step)| { f64::from_bits((n as f64 + 0.5).to_bits() + step - 1) }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn rounding_helpers_match_libm(x in nonneg_finite(), speed in nonneg_finite()) {
+            prop_assert_eq!(round_nonneg(x), libm_round(x), "round({})", x);
+            prop_assert_eq!(running_eta(x, 1.0), libm_eta(x, 1.0), "eta({})", x);
+            prop_assume!(speed > 0.0);
+            prop_assert_eq!(
+                running_eta(x, speed),
+                libm_eta(x, speed),
+                "eta({} / {})",
+                x,
+                speed
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_too_wide_for_the_class_memo_asks_the_thread_table() {
+        // Eight processors over idle, kernel, ISR and one task profile
+        // need 4^8 codes, past the memo's cap: every lookup goes to the
+        // thread's operating-point table instead.
+        let n = 8;
+        let config = cfg(40);
+        let policy_n = policy(n);
+        let table = policy_n.table();
+        assert_eq!(
+            table.periodic()[0].profile(),
+            table.aperiodic()[0].profile()
+        );
+        let task_rate = ContentionModel::new().rate_for_profile(table.periodic()[0].profile());
+        let memo = ClassMemo::new(n, [config.kernel_bus_rate, config.isr_bus_rate, task_rate]);
+        assert_eq!(memo.radix(), 4);
+        assert!(!memo.fits());
+        let (outcome, rec) = run_prototype_probed(
+            policy(n),
+            &[(TICK * 5, 0)],
+            config,
+            &CompiledFaults::none(),
+            mpdp_obs::EventRecorder::new(n),
+        )
+        .unwrap();
+        assert_eq!(outcome.trace.deadline_misses(), 0);
+        assert_eq!(outcome.trace.completions_of(TaskId::new(0)).count(), 4);
+        assert_eq!(outcome.trace.completions_of(TaskId::new(2)).count(), 1);
+        rec.ledger()
+            .check_conservation(outcome.end)
+            .expect("every processor's cycles add up to the horizon");
     }
 
     #[test]

@@ -70,17 +70,29 @@ fn golden(faulted: bool) -> &'static (String, String) {
     })
 }
 
-/// Fresh per-case journal directory (proptest cases run concurrently, so a
-/// shared name would interleave journals from different partitions).
-fn case_dir() -> PathBuf {
-    static CASE: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "mpdp-shard-merge-{}-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).expect("create case dir");
-    dir
+/// A fresh per-case journal directory (proptest cases run concurrently, so
+/// a shared name would interleave journals from different partitions),
+/// removed with everything in it when dropped, so a failing case cleans up
+/// too.
+struct CaseDir(PathBuf);
+
+impl CaseDir {
+    fn new() -> Self {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "mpdp-shard-merge-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).expect("create case dir");
+        CaseDir(dir)
+    }
+}
+
+impl Drop for CaseDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Turns random interior cut points into a partition of `0..total` —
@@ -95,14 +107,14 @@ fn partition(total: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Executes each shard through the journaled worker path and returns the
-/// journal files in shard order.
-fn run_shards(spec: &SweepSpec, ranges: &[std::ops::Range<usize>]) -> Vec<PathBuf> {
-    let dir = case_dir();
-    ranges
+/// case directory with the journal files in shard order.
+fn run_shards(spec: &SweepSpec, ranges: &[std::ops::Range<usize>]) -> (CaseDir, Vec<PathBuf>) {
+    let dir = CaseDir::new();
+    let journals = ranges
         .iter()
         .enumerate()
         .map(|(i, range)| {
-            let path = dir.join(format!("shard-{i}.mpdpj"));
+            let path = dir.0.join(format!("shard-{i}.mpdpj"));
             let plan = SweepPlan {
                 range: Some(range.clone()),
                 journal: Some(path.clone()),
@@ -111,7 +123,8 @@ fn run_shards(spec: &SweepSpec, ranges: &[std::ops::Range<usize>]) -> Vec<PathBu
             execute(spec, 1, &plan, &NullFleetObserver).expect("shard run completes");
             path
         })
-        .collect()
+        .collect();
+    (dir, journals)
 }
 
 proptest! {
@@ -131,7 +144,7 @@ proptest! {
         prop_assert!((1..=8).contains(&ranges.len()));
         prop_assert_eq!(ranges.iter().map(std::ops::Range::len).sum::<usize>(), total);
 
-        let mut journals = run_shards(&spec, &ranges);
+        let (_dir, mut journals) = run_shards(&spec, &ranges);
         // Deterministic Fisher–Yates driven by the proptest-drawn seed:
         // merge order must not matter.
         let mut state = shuffle_seed | 1;
@@ -145,10 +158,6 @@ proptest! {
         prop_assert_eq!(&cells_csv(&merged), golden_csv);
         prop_assert_eq!(&report_json(&merged), golden_json);
         prop_assert_eq!(merged.cells.len(), total);
-
-        for path in &journals {
-            let _ = std::fs::remove_file(path);
-        }
     }
 
     /// Dropping any one shard from an otherwise complete partition is a
@@ -161,15 +170,10 @@ proptest! {
         let spec = grid(false);
         let ranges = partition(spec.cell_count(), &cuts);
         prop_assume!(ranges.len() >= 2);
-        let mut journals = run_shards(&spec, &ranges);
-        let dropped = journals.remove(drop_pick % ranges.len());
+        let (_dir, mut journals) = run_shards(&spec, &ranges);
+        journals.remove(drop_pick % ranges.len());
 
         let err = merge_journal_files(&spec, &journals).expect_err("incomplete merge");
         prop_assert!(matches!(err, MergeError::MissingCells { .. }), "got {err}");
-
-        let _ = std::fs::remove_file(&dropped);
-        for path in &journals {
-            let _ = std::fs::remove_file(path);
-        }
     }
 }
